@@ -379,17 +379,20 @@ def cmd_discriminate(args) -> int:
             print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
 
-    opts = DiscriminateOptions(
-        orders=tuple(args.orders.split(",")),
-        precision=args.precision,
-        naic_form=args.naic_form,
-        nugap_grid=args.nugap_grid,
-        strict_winding=args.strict_winding,
-        seed=args.seed,
-        residual_source=args.residuals,
-        threads=int(os.environ.get(THREADS_ENV_VAR, "1")),
-    )
     try:
+        threads = os.environ.get(THREADS_ENV_VAR, "1")
+        if not threads.strip().isdecimal() or int(threads) < 1:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {threads!r}")
+        opts = DiscriminateOptions(
+            orders=tuple(args.orders.split(",")),
+            precision=args.precision,
+            naic_form=args.naic_form,
+            nugap_grid=args.nugap_grid,
+            strict_winding=args.strict_winding,
+            seed=args.seed,
+            residual_source=args.residuals,
+            threads=int(threads),
+        )
         for label in opts.orders:
             sysid.OrderSpec.from_label(label)
         if opts.precision < 0:

@@ -92,9 +92,17 @@ class MatchProblem:
             raise ValueError("weights must be nonnegative and not both zero")
         if self.fixed_r <= 0.0:
             raise ValueError("fixed_r must be > 0")
+        ts = self.dataset.sample_time
         if self.sim_config is None:
             object.__setattr__(
-                self, "sim_config", SimConfig(setpoint=float(self.dataset.r[-1]))
+                self,
+                "sim_config",
+                SimConfig(setpoint=float(self.dataset.r[-1]), sample_time=ts),
+            )
+        elif abs(self.sim_config.sample_time - ts) > 1e-9 * ts:
+            raise ValueError(
+                f"sim_config sample time {self.sim_config.sample_time} s differs "
+                f"from the dataset's {ts} s"
             )
 
     def params_from(self, theta) -> PeltierParams:

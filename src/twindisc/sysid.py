@@ -1,12 +1,16 @@
 """Box-Jenkins model identification from recorded step tests.
 
 The deterministic part B/F of each channel is fitted by simulation-error
-(output-error) minimization: damped Gauss-Newton with finite-difference
-Jacobians, started from a matching-order ARX least-squares estimate plus
-seeded perturbations.  The noise part C/D is then fitted on the simulation
-residuals in the Hannan-Rissanen style (long AR for innovations, then
-linear least squares).  Everything downstream that scores models uses only
-B/F, so the two stages never need a joint search.
+(output-error) minimization: Levenberg-Marquardt (damped Gauss-Newton) on
+the analytic Jacobian of the simulation residual, whose columns are the
+filtered regressors (1/F)u and (1/F)y_hat at their delays (Ljung, System
+Identification, 2nd ed., section 10.2).  Steps that leave F unstable, by a
+Schur-Cohn step-down test, are rejected.  Each fit starts from a
+matching-order ARX least-squares estimate plus seeded perturbations.  The
+noise part C/D is then fitted on the simulation residuals in the
+Hannan-Rissanen style (long AR for innovations, then linear least
+squares).  Everything downstream that scores models uses only B/F, so the
+two stages never need a joint search.
 """
 
 from __future__ import annotations
@@ -135,10 +139,15 @@ class FitResult:
             object.__setattr__(self, name, arr)
 
 
-def _max_root_magnitude(monic: np.ndarray) -> float:
-    if monic.size < 2:
-        return 0.0
-    return float(np.max(np.abs(np.roots(monic))))
+def _is_stable(monic) -> bool:
+    """Schur-Cohn step-down: every root strictly inside the unit circle."""
+    a = [float(c) for c in monic]
+    while len(a) > 1:
+        k = a[-1]
+        if not abs(k) < 1.0:  # also rejects NaN
+            return False
+        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
+    return True
 
 
 def _project_stable(monic: np.ndarray, radius: float = 1.0 - _STABILITY_MARGIN) -> np.ndarray:
@@ -162,13 +171,26 @@ def _simulate_bf(theta: np.ndarray, u: np.ndarray, nk: int, nb: int) -> np.ndarr
 
 def _oe_residual(theta: np.ndarray, u: np.ndarray, y: np.ndarray, nk: int, nb: int):
     """Simulation residual, or None when F is unstable / the run blew up."""
-    f = np.concatenate([[1.0], theta[nb:]])
-    if _max_root_magnitude(f) >= 1.0:
+    if not _is_stable(np.concatenate([[1.0], theta[nb:]])):
         return None
     r = y - _simulate_bf(theta, u, nk, nb)
     if not np.all(np.isfinite(r)):
         return None
     return r
+
+
+def _oe_jacobian(theta: np.ndarray, y_hat: np.ndarray, u: np.ndarray, nk: int, nb: int):
+    """d r / d theta of r = y - (B/F)u: -(1/F)u at delay nk+i, +(1/F)y_hat at delay j."""
+    f = np.concatenate([[1.0], theta[nb:]])
+    uf = scipy.signal.lfilter([1.0], f, u)
+    yf = scipy.signal.lfilter([1.0], f, y_hat)
+    n = u.size
+    jac = np.zeros((n, theta.size))
+    for i in range(nb):
+        jac[nk + i :, i] = -uf[: n - nk - i]
+    for j in range(1, theta.size - nb + 1):
+        jac[j:, nb + j - 1] = yf[: n - j]
+    return jac
 
 
 def _arx_start(u: np.ndarray, y: np.ndarray, order: OrderSpec) -> np.ndarray:
@@ -200,23 +222,7 @@ def _gauss_newton_oe(theta0, u, y, order: OrderSpec, opts: FitOptions):
         if cost == 0.0:
             converged = True
             break
-        jac = np.empty((y.size, theta.size))
-        for i in range(theta.size):
-            h = 1e-6 * (1.0 + abs(theta[i]))
-            up = theta.copy()
-            up[i] += h
-            dn = theta.copy()
-            dn[i] -= h
-            rp = _oe_residual(up, u, y, nk, nb)
-            rm = _oe_residual(dn, u, y, nk, nb)
-            if rp is not None and rm is not None:
-                jac[:, i] = (rp - rm) / (2.0 * h)
-            elif rp is not None:
-                jac[:, i] = (rp - r) / h
-            elif rm is not None:
-                jac[:, i] = (r - rm) / h
-            else:
-                jac[:, i] = 0.0
+        jac = _oe_jacobian(theta, y - r, u, nk, nb)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         scale = np.clip(np.diag(jtj), 1e-12, None)

@@ -134,6 +134,9 @@ class TimeSeriesDataset:
             raise ValueError("t, r, u, y must be equal-length 1-D columns")
         if t.size < 2:
             raise ValueError("dataset needs at least 2 samples")
+        if not np.isfinite((t, r, u, y)).all():
+            bad = next(n for n, a in zip("truy", (t, r, u, y)) if not np.isfinite(a).all())
+            raise ValueError(f"column {bad} holds NaN or inf values")
         steps = np.diff(t)
         if np.any(steps <= 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("t must be strictly increasing with uniform spacing")

@@ -244,6 +244,25 @@ class TestDiscriminateCommand:
             blobs.append((tmp_path / f"{name}.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+    def test_bad_thread_count_is_usage_error(
+        self, tmp_path, campaign_files, monkeypatch, capsys, threads
+    ):
+        monkeypatch.setenv(cli.THREADS_ENV_VAR, threads)
+        code = cli.main(["discriminate", campaign_files[0], "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"error: {cli.THREADS_ENV_VAR}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_nan_dataset_is_usage_error(self, tmp_path, capsys):
+        path = make_dataset(tmp_path / "nan.csv", seed=0)
+        lines = path.read_text().splitlines()
+        lines[10] = ",".join(lines[10].split(",")[:3] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["discriminate", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "NaN or inf" in capsys.readouterr().err
+
     def test_per_order_failures_are_isolated(self, tmp_path):
         # 60 samples satisfy order 2 (needs 40) but not order 5 (needs 100)
         path = make_dataset(tmp_path / "short.csv", seed=3, n=60)
@@ -329,6 +348,16 @@ class TestMatchCommand:
             ["match", path, "--initial", "0.9,0.3,10.0", "--out", str(tmp_path / "m.json")]
         )
         assert code == 2
+
+    def test_nan_dataset_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        lines = open(self._dataset(tmp_path)).read().splitlines()
+        lines[10] = ",".join(lines[10].split(",")[:3] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["match", str(path), "--initial", "datasheet", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "NaN or inf" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")

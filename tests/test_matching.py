@@ -137,3 +137,20 @@ class TestMatchParameters:
             make_problem(weights=(0.0, 0.0))
         with pytest.raises(ValueError):
             make_problem(weights=(-1.0, 1.0))
+
+    def test_default_sim_config_follows_dataset_sample_time(self):
+        cfg = SimConfig(setpoint=70.0, duration=60.0, sample_time=0.5, sensor=SensorConfig())
+        dataset = simulate_closed_loop(TRUTH_70, cfg)
+        problem = MatchProblem(dataset=dataset, initial=INITIAL_GUESS_PRESETS["datasheet"])
+        assert problem.sim_config.sample_time == 0.5
+        assert sse_cost(problem, TRUTH_70) <= 1e-9
+
+    def test_sim_config_sample_time_mismatch_rejected(self):
+        cfg = SimConfig(setpoint=70.0, duration=60.0, sample_time=0.5, sensor=SensorConfig())
+        dataset = simulate_closed_loop(TRUTH_70, cfg)
+        with pytest.raises(ValueError, match="sample time"):
+            MatchProblem(
+                dataset=dataset,
+                initial=INITIAL_GUESS_PRESETS["datasheet"],
+                sim_config=SimConfig(setpoint=70.0),
+            )

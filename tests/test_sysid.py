@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twindisc.lti import frequency_response, pole_magnitudes, simulate
 from twindisc.sysid import (
@@ -11,6 +15,9 @@ from twindisc.sysid import (
     fit_output_error,
     identify_family,
     one_step_residuals,
+    _is_stable,
+    _oe_jacobian,
+    _oe_residual,
 )
 from twindisc.twin import (
     PeltierParams,
@@ -114,6 +121,75 @@ class TestFitOutputError:
             y = y + 0.1 * rng.standard_normal(300)
             fit = fit_output_error(u, y, "22221", FitOptions(seed=seed))
             assert np.max(pole_magnitudes(fit.model.f)) < 1.0 + 1e-9
+
+
+def random_stable_theta(rng, nb, nf, max_radius=0.9):
+    """B coefficients and monic-F tail with conjugate-pair or real poles."""
+    poles = []
+    while len(poles) < nf:
+        radius = rng.uniform(0.1, max_radius)
+        if nf - len(poles) >= 2 and rng.random() < 0.5:
+            angle = rng.uniform(0.1, 3.0)
+            poles += [radius * np.exp(1j * angle), radius * np.exp(-1j * angle)]
+        else:
+            poles.append(radius * rng.choice([-1.0, 1.0]))
+    f = np.real(np.poly(poles))
+    return np.concatenate([rng.standard_normal(nb), f[1:]])
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("label", ["22221", "33331", "44441", "55551"])
+    @pytest.mark.parametrize("nk", [0, 1, 2])
+    def test_matches_central_difference(self, label, nk):
+        spec = OrderSpec.from_label(label)
+        nb = spec.nb
+        rng = np.random.default_rng(100 * spec.nb + nk)
+        u = rng.standard_normal(300)
+        y = rng.standard_normal(300)
+        for _ in range(3):
+            theta = random_stable_theta(rng, nb, spec.nf)
+            r = _oe_residual(theta, u, y, nk, nb)
+            jac = _oe_jacobian(theta, y - r, u, nk, nb)
+            fd = np.empty_like(jac)
+            for i in range(theta.size):
+                h = 1e-6 * (1.0 + abs(theta[i]))
+                up, dn = theta.copy(), theta.copy()
+                up[i] += h
+                dn[i] -= h
+                rp = _oe_residual(up, u, y, nk, nb)
+                rm = _oe_residual(dn, u, y, nk, nb)
+                fd[:, i] = (rp - rm) / (2.0 * h)
+            # relative to each column's scale: entries near zero carry no precision
+            assert np.max(np.abs(jac - fd) / np.max(np.abs(jac), axis=0)) < 1e-5
+
+
+def _monic_from_draw(xs):
+    # scale by binomial coefficients so that stable and unstable draws both occur
+    n = len(xs)
+    return np.concatenate([[1.0], [math.comb(n, k + 1) * x for k, x in enumerate(xs)]])
+
+
+class TestSchurCohn:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)
+        )
+    )
+    def test_agrees_with_root_magnitudes(self, xs):
+        monic = _monic_from_draw(xs)
+        rho = float(np.max(np.abs(np.roots(monic))))
+        assume(abs(rho - 1.0) > 1e-9)
+        assert _is_stable(monic) == (rho < 1.0)
+
+    def test_boundary_and_degenerate_cases(self):
+        assert _is_stable([1.0])
+        assert _is_stable([1.0, -0.5])
+        assert not _is_stable([1.0, -1.0])  # root on the circle
+        assert not _is_stable([1.0, -2.0, 1.0])  # double root at 1
+        assert not _is_stable([1.0, 0.0, 1.0])  # roots at +-j
+        assert not _is_stable([1.0, float("nan")])
+        assert _is_stable(np.real(np.poly([0.999, -0.999, 0.5j, -0.5j])))
 
 
 class TestFitNoiseModel:

@@ -211,3 +211,18 @@ class TestDatasetIO:
             TimeSeriesDataset(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), ones, ones, ones)
         with pytest.raises(ValueError):
             TimeSeriesDataset(np.array([0.0, 1.0, 2.5, 3.0, 4.0]), ones, ones, ones)
+
+    @pytest.mark.parametrize("column", ["t", "r", "u", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, column, bad):
+        cols = {"t": np.arange(5.0), "r": np.ones(5), "u": np.ones(5), "y": np.ones(5)}
+        cols[column] = cols[column].copy()
+        cols[column][4] = bad
+        with pytest.raises(ValueError, match=f"column {column} holds NaN or inf"):
+            TimeSeriesDataset(cols["t"], cols["r"], cols["u"], cols["y"])
+
+    def test_read_csv_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,r,u,y\n0,1,2,3\n1,1,2,nan\n2,1,2,3\n")
+        with pytest.raises(ValueError, match="NaN or inf"):
+            read_csv(path)
