@@ -9,7 +9,6 @@ outputs, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -27,8 +26,6 @@ from .nugap import DEFAULT_GRID_SIZE, UnitCirclePoleError, select_nominal
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
-
-THREADS_ENV_VAR = "TWIN_DISCRIM_THREADS"
 
 CRITERION_KEYS = ("information_gain", "naic", "bic", "mdl")
 
@@ -49,7 +46,6 @@ class DiscriminateOptions:
     strict_winding: bool = False
     seed: int = 0
     residual_source: str = "sim"
-    threads: int = 1
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -208,35 +204,13 @@ def discriminate_datasets(
     nu-gap stage runs over the per-dataset consensus-best models and is
     omitted (with a note) when fewer than two are available.
     """
-    results: list = [None] * len(datasets)
+    dataset_reports: list = []
     errors: list = []
-
-    def work(i: int):
-        return i, _score_dataset(datasets[i], opts)
-
-    max_workers = max(1, opts.threads)
-    if max_workers > 1 and len(datasets) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(work, i) for i in range(len(datasets))]
-            outcomes = []
-            for fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - isolate per-dataset failure
-                    outcomes.append(exc)
-            for i, out in enumerate(outcomes):
-                if isinstance(out, Exception):
-                    errors.append(f"dataset {datasets[i].label!r}: {out}")
-                else:
-                    results[out[0]] = out[1]
-    else:
-        for i in range(len(datasets)):
-            try:
-                results[i] = work(i)[1]
-            except Exception as exc:  # noqa: BLE001
-                errors.append(f"dataset {datasets[i].label!r}: {exc}")
-
-    dataset_reports = [r for r in results if r is not None]
+    for dataset in datasets:
+        try:
+            dataset_reports.append(_score_dataset(dataset, opts))
+        except Exception as exc:  # noqa: BLE001 - isolate per-dataset failure
+            errors.append(f"dataset {dataset.label!r}: {exc}")
 
     gap_entries = [
         (rep["label"], rep["_gap_model"])
@@ -380,9 +354,6 @@ def cmd_discriminate(args) -> int:
         return EXIT_USAGE
 
     try:
-        threads = os.environ.get(THREADS_ENV_VAR, "1")
-        if not threads.strip().isdecimal() or int(threads) < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {threads!r}")
         opts = DiscriminateOptions(
             orders=tuple(args.orders.split(",")),
             precision=args.precision,
@@ -391,7 +362,6 @@ def cmd_discriminate(args) -> int:
             strict_winding=args.strict_winding,
             seed=args.seed,
             residual_source=args.residuals,
-            threads=int(threads),
         )
         for label in opts.orders:
             sysid.OrderSpec.from_label(label)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .lm import levenberg_marquardt
 from .twin import (
     PeltierParams,
     SensorConfig,
@@ -23,6 +24,7 @@ from .twin import (
 )
 
 MEASURED_RESISTANCE = 3.3  # ohm
+FD_STEP = 1e-4  # relative step of the central-difference Jacobian
 
 #: Initial-guess presets for the matching search: the module datasheet, an
 #: independent bench measurement, and hands-on operating experience.
@@ -97,7 +99,11 @@ class MatchProblem:
             object.__setattr__(
                 self,
                 "sim_config",
-                SimConfig(setpoint=float(self.dataset.r[-1]), sample_time=ts),
+                SimConfig(
+                    setpoint=float(self.dataset.r[-1]),
+                    duration=len(self.dataset) * ts,
+                    sample_time=ts,
+                ),
             )
         elif abs(self.sim_config.sample_time - ts) > 1e-9 * ts:
             raise ValueError(
@@ -118,9 +124,7 @@ class MatchOptions:
     # ~100 iterations before quadratic convergence kicks in
     max_iter: int = 150
     tol: float = 1e-10
-    fd_step: float = 1e-4  # relative, central differences
     multistart: bool = True
-    max_lambda: float = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +147,16 @@ class MatchResult:
             object.__setattr__(self, name, arr)
 
 
-def _clean_sim_config(problem: MatchProblem) -> SimConfig:
-    # the candidate model is deterministic: no sensor corruption during matching
-    return replace(problem.sim_config, sensor=SensorConfig(), label="")
-
-
 def _simulate_candidate(problem: MatchProblem, candidate: PeltierParams):
-    cfg = _clean_sim_config(problem)
+    # the candidate model is deterministic: no sensor corruption during matching
+    cfg = replace(problem.sim_config, sensor=SensorConfig(), label="")
     return simulate_closed_loop(candidate, cfg, reference=problem.dataset.r)
 
 
-def _residual_vector(problem: MatchProblem, theta: np.ndarray):
+def _residual_vector(problem: MatchProblem, candidate: PeltierParams):
     """Weighted stacked residuals, or None when the simulation diverges."""
     try:
-        sim = _simulate_candidate(problem, problem.params_from(theta))
+        sim = _simulate_candidate(problem, candidate)
     except SimulationDivergedError:
         return None
     w_y, w_u = problem.weights
@@ -172,15 +172,8 @@ def sse_cost(problem: MatchProblem, candidate: PeltierParams) -> float:
     """
     if not problem.bounds.contains(candidate):
         raise ValueError("candidate must lie within the problem bounds")
-    try:
-        sim = _simulate_candidate(problem, candidate)
-    except SimulationDivergedError:
-        return math.inf
-    w_y, w_u = problem.weights
-    return float(
-        w_y * np.sum((problem.dataset.y - sim.y) ** 2)
-        + w_u * np.sum((problem.dataset.u - sim.u) ** 2)
-    )
+    r = _residual_vector(problem, candidate)
+    return math.inf if r is None else float(r @ r)
 
 
 def _starts(problem: MatchProblem, opts: MatchOptions) -> list[np.ndarray]:
@@ -201,69 +194,27 @@ def _starts(problem: MatchProblem, opts: MatchOptions) -> list[np.ndarray]:
     return unique
 
 
-def _gauss_newton_boxed(problem: MatchProblem, theta0: np.ndarray, opts: MatchOptions):
-    """Damped Gauss-Newton with box projection on the free parameters."""
+def _fd_jacobian(problem: MatchProblem, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Central differences of the residual, one-sided where a bound cuts the step."""
     lo, hi = problem.bounds.arrays()
-    theta = problem.bounds.clip(np.asarray(theta0, dtype=float))
-    r = _residual_vector(problem, theta)
-    if r is None:
-        return None
-    cost = float(r @ r)
-    trace = [cost]
-    lam = 1e-3
-    iterations = 0
-    converged = False
-    for iterations in range(1, opts.max_iter + 1):
-        if cost == 0.0:
-            converged = True
-            break
-        jac = np.empty((r.size, theta.size))
-        for i in range(theta.size):
-            h = opts.fd_step * max(abs(theta[i]), 1e-6)
-            up = theta.copy()
-            up[i] = min(theta[i] + h, hi[i])
-            dn = theta.copy()
-            dn[i] = max(theta[i] - h, lo[i])
-            width = up[i] - dn[i]
-            if width <= 0.0:
-                jac[:, i] = 0.0
-                continue
-            rp = _residual_vector(problem, up)
-            rm = _residual_vector(problem, dn)
-            if rp is None or rm is None:
-                jac[:, i] = 0.0
-                continue
-            jac[:, i] = (rp - rm) / width
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        scale = np.clip(np.diag(jtj), 1e-12, None)
-        stepped = False
-        while lam <= opts.max_lambda:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(scale), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = problem.bounds.clip(theta + delta)
-            rc = _residual_vector(problem, cand)
-            if rc is not None:
-                new_cost = float(rc @ rc)
-                if new_cost < cost:
-                    rel_drop = (cost - new_cost) / cost
-                    theta, r, cost = cand, rc, new_cost
-                    trace.append(cost)
-                    lam = max(lam / 10.0, 1e-12)
-                    stepped = True
-                    if rel_drop < opts.tol:
-                        converged = True
-                    break
-            lam *= 10.0
-        if not stepped:
-            converged = True  # no damping level improves: stationary point
-            break
-        if converged:
-            break
-    return theta, cost, iterations, converged, trace
+    jac = np.empty((r.size, theta.size))
+    for i in range(theta.size):
+        h = FD_STEP * max(abs(theta[i]), 1e-6)
+        up = theta.copy()
+        up[i] = min(theta[i] + h, hi[i])
+        dn = theta.copy()
+        dn[i] = max(theta[i] - h, lo[i])
+        width = up[i] - dn[i]
+        if width <= 0.0:
+            jac[:, i] = 0.0
+            continue
+        rp = _residual_vector(problem, problem.params_from(up))
+        rm = _residual_vector(problem, problem.params_from(dn))
+        if rp is None or rm is None:
+            jac[:, i] = 0.0
+            continue
+        jac[:, i] = (rp - rm) / width
+    return jac
 
 
 def match_parameters(
@@ -276,11 +227,19 @@ def match_parameters(
     the lowest final cost, and breaks ties toward the lowest start index.
     The resistance never varies and is reported as ``problem.fixed_r``.
     """
+    def residual(theta):
+        return _residual_vector(problem, problem.params_from(theta))
+
+    def jacobian(theta, r):
+        return _fd_jacobian(problem, theta, r)
+
     starts = _starts(problem, opts)
     best = None
     start_costs = []
     for idx, start in enumerate(starts):
-        outcome = _gauss_newton_boxed(problem, start, opts)
+        outcome = levenberg_marquardt(
+            residual, jacobian, start, opts.max_iter, opts.tol, project=problem.bounds.clip
+        )
         if outcome is None:
             start_costs.append(math.inf)
             continue

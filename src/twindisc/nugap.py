@@ -61,24 +61,12 @@ class NuGapMatrix:
 
 
 def chordal_distance(p1_response, p2_response) -> float:
-    """Chordal distance between two m x 1 responses at a single frequency.
-
-    Uses the rank-one closed form of (I + vv*)^(-1/2); the norm of the
-    resulting column is its largest singular value.
-    """
+    """Chordal distance between two m x 1 responses at a single frequency."""
     p1 = np.asarray(p1_response, dtype=complex).ravel()
     p2 = np.asarray(p2_response, dtype=complex).ravel()
     if p1.shape != p2.shape:
         raise ValueError("responses must have the same shape")
-    w = p1 - p2
-    s2 = float(np.vdot(p2, p2).real)
-    if s2 > 0.0:
-        shrink = (1.0 - 1.0 / np.sqrt(1.0 + s2)) / s2
-        g = w - p2 * (np.vdot(p2, w) * shrink)
-    else:
-        g = w
-    right = 1.0 / np.sqrt(1.0 + float(np.vdot(p1, p1).real))
-    return float(np.linalg.norm(g) * right)
+    return float(_chordal_grid(p1[:, None], p2[:, None])[0])
 
 
 def _response_columns(model, omegas) -> np.ndarray:
@@ -116,7 +104,7 @@ def _screen_unit_circle_poles(model) -> None:
 
 
 def _chordal_grid(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-    """Vectorized chordal distance for (m, G) response stacks."""
+    """Chordal distance per column of (m, G) stacks (rank-one form of (I + vv*)^(-1/2))."""
     w = P1 - P2
     s2 = np.sum((P2.conj() * P2).real, axis=0)
     vw = np.sum(P2.conj() * w, axis=0)
@@ -176,9 +164,7 @@ def nugap(
     best = float(d[k])
 
     def at(w: float) -> float:
-        return chordal_distance(
-            _response_columns(m1, [w])[:, 0], _response_columns(m2, [w])[:, 0]
-        )
+        return float(_chordal_grid(_response_columns(m1, [w]), _response_columns(m2, [w]))[0])
 
     lo = omegas[max(k - 1, 0)]
     hi = omegas[min(k + 1, grid_size - 1)]

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.signal
 
+from .lm import levenberg_marquardt
 from .lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
 
 DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
@@ -119,7 +120,6 @@ class FitOptions:
     n_starts: int = 5
     seed: int = 0
     perturbation: float = 0.2
-    max_lambda: float = 1e12
     extra_starts: tuple = ()
 
 
@@ -207,53 +207,6 @@ def _arx_start(u: np.ndarray, y: np.ndarray, order: OrderSpec) -> np.ndarray:
     return np.concatenate([theta[:nb], f[1:]])
 
 
-def _gauss_newton_oe(theta0, u, y, order: OrderSpec, opts: FitOptions):
-    """Damped Gauss-Newton on the simulation error; rejects unstable steps."""
-    nb, nk = order.nb, order.nk
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = _oe_residual(theta, u, y, nk, nb)
-    if r is None:
-        return None
-    cost = float(r @ r)
-    lam = 1e-3
-    iterations = 0
-    converged = False
-    for iterations in range(1, opts.max_iter + 1):
-        if cost == 0.0:
-            converged = True
-            break
-        jac = _oe_jacobian(theta, y - r, u, nk, nb)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        scale = np.clip(np.diag(jtj), 1e-12, None)
-        stepped = False
-        while lam <= opts.max_lambda:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(scale), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = theta + delta
-            rc = _oe_residual(cand, u, y, nk, nb)
-            if rc is not None:
-                new_cost = float(rc @ rc)
-                if new_cost < cost:
-                    rel_drop = (cost - new_cost) / cost
-                    theta, r, cost = cand, rc, new_cost
-                    lam = max(lam / 10.0, 1e-12)
-                    stepped = True
-                    if rel_drop < opts.tol:
-                        converged = True
-                    break
-            lam *= 10.0
-        if not stepped:
-            converged = True  # no damping level improves: at a (local) optimum
-            break
-        if converged:
-            break
-    return theta, cost, iterations, converged
-
-
 def fit_output_error(input, output, order, opts: FitOptions = FitOptions()) -> FitResult:
     """Fit the deterministic channel B/F by simulation-error minimization.
 
@@ -289,12 +242,18 @@ def fit_output_error(input, output, order, opts: FitOptions = FitOptions()) -> F
         if extra.size == theta0.size:
             starts.append(extra)
 
+    def residual(theta):
+        return _oe_residual(theta, u, y, order.nk, order.nb)
+
+    def jacobian(theta, r):
+        return _oe_jacobian(theta, y - r, u, order.nk, order.nb)
+
     best = None
     for idx, start in enumerate(starts):
-        outcome = _gauss_newton_oe(start, u, y, order, opts)
+        outcome = levenberg_marquardt(residual, jacobian, start, opts.max_iter, opts.tol)
         if outcome is None:
             continue
-        theta, cost, iterations, converged = outcome
+        theta, cost, iterations, converged, _ = outcome
         if best is None or cost < best[0]:
             best = (cost, idx, theta, iterations, converged)
     if best is None:

@@ -227,33 +227,6 @@ class TestDiscriminateCommand:
         assert row_sim["ig_total"] == row_pred["ig_total"]
         assert row_sim["bic_total"] != row_pred["bic_total"]
 
-    def test_thread_cap_env_var_preserves_output(self, tmp_path, campaign_files, monkeypatch):
-        blobs = []
-        for name, threads in (("serial", "1"), ("pooled", "4")):
-            monkeypatch.setenv(cli.THREADS_ENV_VAR, threads)
-            out = tmp_path / name
-            assert cli.main(
-                [
-                    "discriminate",
-                    *campaign_files,
-                    "--out", str(out),
-                    "--orders", "22221",
-                    "--seed", "2",
-                ]
-            ) == 0
-            blobs.append((tmp_path / f"{name}.json").read_bytes())
-        assert blobs[0] == blobs[1]
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
-    def test_bad_thread_count_is_usage_error(
-        self, tmp_path, campaign_files, monkeypatch, capsys, threads
-    ):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, threads)
-        code = cli.main(["discriminate", campaign_files[0], "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert f"error: {cli.THREADS_ENV_VAR}" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
-
     def test_nan_dataset_is_usage_error(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "nan.csv", seed=0)
         lines = path.read_text().splitlines()

@@ -145,6 +145,16 @@ class TestMatchParameters:
         assert problem.sim_config.sample_time == 0.5
         assert sse_cost(problem, TRUTH_70) <= 1e-9
 
+    def test_default_sim_config_accepts_slow_sampled_dataset(self):
+        # 100 samples at 20 s: the default horizon must follow the dataset
+        cfg = SimConfig(setpoint=70.0, duration=2000.0, sample_time=20.0, sensor=SensorConfig())
+        dataset = simulate_closed_loop(TRUTH_70, cfg)
+        assert len(dataset) == 100
+        problem = MatchProblem(dataset=dataset, initial=INITIAL_GUESS_PRESETS["datasheet"])
+        assert problem.sim_config.sample_time == 20.0
+        assert problem.sim_config.n_samples == 100
+        assert sse_cost(problem, TRUTH_70) <= 1e-9
+
     def test_sim_config_sample_time_mismatch_rejected(self):
         cfg = SimConfig(setpoint=70.0, duration=60.0, sample_time=0.5, sensor=SensorConfig())
         dataset = simulate_closed_loop(TRUTH_70, cfg)
