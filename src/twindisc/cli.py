@@ -298,6 +298,9 @@ def write_report(report: dict, out_path: str) -> tuple[str, str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         base_cfg, setpoints = configio.load_sim_config(args.config)
         params_map = configio.load_params_file(args.params)
@@ -341,6 +344,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     datasets = []
     load_errors = []
     for path in args.datasets:

@@ -80,6 +80,8 @@ class SensorConfig:
     def __post_init__(self):
         if self.quantization < 0.0 or self.noise_std < 0.0:
             raise ValueError("quantization and noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,9 @@ class TimeSeriesDataset:
             bad = next(n for n, a in zip("truy", (t, r, u, y)) if not np.isfinite(a).all())
             raise ValueError(f"column {bad} holds NaN or inf values")
         steps = np.diff(t)
-        if np.any(steps <= 0.0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        if np.any(steps <= 0.0) or not np.all(
+            np.abs(steps - steps[0]) <= 1e-12 + 1e-9 * abs(steps[0])
+        ):
             raise ValueError("t must be strictly increasing with uniform spacing")
         for arr in (t, r, u, y):
             arr.setflags(write=False)
@@ -186,12 +190,6 @@ def peltier_derivatives(
     return d_a, d_b
 
 
-def _quantize(value: float, step: float) -> float:
-    if step <= 0.0:
-        return value
-    return round(value / step) * step
-
-
 def simulate_closed_loop(
     p: PeltierParams, cfg: SimConfig, reference=None
 ) -> TimeSeriesDataset:
@@ -216,20 +214,26 @@ def simulate_closed_loop(
     pid = cfg.pid
     dt = cfg.sample_time
     dt_sub = dt / cfg.ode_substeps
-    rng = np.random.default_rng(cfg.sensor.seed)
     noise = (
-        rng.normal(0.0, cfg.sensor.noise_std, size=n)
+        np.random.default_rng(cfg.sensor.seed)
+        .normal(0.0, cfg.sensor.noise_std, size=n)
+        .tolist()
         if cfg.sensor.noise_std > 0.0
         else None
     )
 
-    # hoisted locals keep the inner loop cheap
+    # hoisted locals keep the inner loop cheap; every value in it is a
+    # Python float (the reference and noise come in through tolist()),
+    # because numpy scalars do the same IEEE-754 arithmetic at several
+    # times the cost per operation
     alpha, r_ohm, k_cond, c_heat = p.alpha, p.r_ohm, p.k_cond, p.c_heat
     g_surf, g_sink, ambient = cfg.surface_conductance, cfg.heatsink_conductance, cfg.ambient
     kp, ki, kd = pid.kp, pid.ki, pid.kd
     out_min, out_max = pid.out_min, pid.out_max
+    integ_min = min(out_min, 0.0)
     conditional = pid.anti_windup == "conditional"
     drive_gain = -cfg.supply_voltage / r_ohm / (out_max - out_min)
+    quant = cfg.sensor.quantization
 
     t_a = t_b = float(cfg.ambient)
     integ = 0.0
@@ -237,13 +241,14 @@ def simulate_closed_loop(
     u_trace = np.empty(n)
     y_trace = np.empty(n)
 
-    for k in range(n):
+    for k, r_k in enumerate(ref.tolist()):
         y_meas = t_a
         if noise is not None:
             y_meas += noise[k]
-        y_meas = _quantize(y_meas, cfg.sensor.quantization)
+        if quant > 0.0:
+            y_meas = round(y_meas / quant) * quant
 
-        err = ref[k] - y_meas
+        err = r_k - y_meas
         d_term = 0.0 if (prev_err is None or kd == 0.0) else kd * (err - prev_err) / dt
         prev_err = err
 
@@ -256,7 +261,7 @@ def simulate_closed_loop(
             new_integ = integ
             u_raw = kp * err + new_integ + d_term
         # the stored integrator never exceeds what maps to the saturation edge
-        integ = min(max(new_integ, min(out_min, 0.0)), out_max) if conditional else new_integ
+        integ = min(max(new_integ, integ_min), out_max) if conditional else new_integ
         u = min(max(u_raw, out_min), out_max)
 
         u_trace[k] = u
@@ -306,8 +311,8 @@ def write_csv(dataset: TimeSeriesDataset, path) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,r,u,y\n")
-        for row in zip(dataset.t, dataset.r, dataset.u, dataset.y):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        cols = (dataset.t.tolist(), dataset.r.tolist(), dataset.u.tolist(), dataset.y.tolist())
+        fh.writelines(f"{t!r},{r!r},{u!r},{y!r}\n" for t, r, u, y in zip(*cols))
 
 
 def read_csv(path, label: str | None = None) -> TimeSeriesDataset:

@@ -113,6 +113,25 @@ class TestSimulateCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(CONFIG)
+        params = tmp_path / "params.ini"
+        params.write_text(PARAMS)
+        out = tmp_path / "out"
+        code = cli.main(
+            [
+                "simulate",
+                "--config", str(cfg),
+                "--params", str(params),
+                "--out-dir", str(out),
+                "--seed", "-1",
+            ]
+        )
+        assert code == 2
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiscriminateCommand:
     def test_report_structure_and_consistency(self, tmp_path, campaign_files):
@@ -273,6 +292,15 @@ class TestDiscriminateCommand:
             ["discriminate", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r")]
         )
         assert code == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path, campaign_files, capsys):
+        out = tmp_path / "r"
+        code = cli.main(
+            ["discriminate", *campaign_files, "--out", str(out), "--seed", "-1"]
+        )
+        assert code == 2
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(f"{out}.json")
 
     def test_bad_order_label_is_usage_error(self, tmp_path, campaign_files):
         code = cli.main(

@@ -91,6 +91,12 @@ class TestSimConfigFile:
         with pytest.raises(ConfigError):
             load_sim_config(tmp_path / "absent.ini")
 
+    def test_negative_sensor_seed_is_config_error(self, tmp_path):
+        path = tmp_path / "seed.ini"
+        path.write_text("[simulation]\nsetpoints = 30\n\n[sensor]\nseed = -1\n")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_sim_config(path)
+
 
 class TestParamsFile:
     def test_per_setpoint_sections_with_shared_base(self, tmp_path):

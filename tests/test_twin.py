@@ -1,5 +1,11 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twindisc.twin import (
     KELVIN_OFFSET,
@@ -150,6 +156,96 @@ class TestClosedLoop:
             SimConfig(setpoint=50.0, ode_substeps=0)
 
 
+# SHA-256 of u.tobytes() + y.tobytes() per case, recorded from the
+# numpy-scalar loop: the closed loop must keep its arithmetic and its
+# evaluation order bit for bit.
+STEP_REFERENCE = np.concatenate([np.full(100, 30.0), np.full(200, 45.0)])
+PINNED_CASES = {
+    "clean": (70.0, {}, None),
+    "noise": (70.0, {"sensor": SensorConfig(noise_std=0.05, seed=7)}, None),
+    "quantization": (70.0, {"sensor": SensorConfig(quantization=0.1)}, None),
+    "noise_quantization": (
+        30.0,
+        {"sensor": SensorConfig(quantization=0.1, noise_std=0.05, seed=3)},
+        None,
+    ),
+    "kd": (70.0, {"pid": PidConfig(kd=0.5)}, None),
+    "no_antiwindup": (
+        90.0,
+        {"pid": PidConfig(kp=50.0, ki=5.0, anti_windup="none")},
+        None,
+    ),
+    "reference_step": (50.0, {}, STEP_REFERENCE),
+    "sample_time_0.5": (50.0, {"sample_time": 0.5, "duration": 300.0}, None),
+    "substeps_1": (30.0, {"ode_substeps": 1}, None),
+    "substeps_20": (90.0, {"ode_substeps": 20}, None),
+}
+PINNED_DIGESTS = {
+    "clean": "3905120f37325d65ddd899bd4935d30054ba6f9887b01ab3da431fe066e0a5d6",
+    "kd": "7375b36a801c9df91f3c677bb51dc6bba2d8fe0cee71bd312ba5b4c594bdfeb2",
+    "no_antiwindup": "8c1f35087f2b06e6d77579627e2bbdcec79f5e3eea7d182421230d99181d537c",
+    "noise": "d9956e0831261f5377a74c163b9b11a676c9c2dcab2285087753635569cf543f",
+    "noise_quantization": "85980330f2475fcbb261b48d100f3bae900bf45b4ed853c0072dd0939f03725c",
+    "quantization": "46ad6b760ad78d7d7b1344b2e106ebe48b32714b6718ca51b8e5204281755270",
+    "reference_step": "1beba941a533caae268cc6f182220f2e4a252bc2ea992416514ab6063268b655",
+    "sample_time_0.5": "c24c40a76b44cfdacb613d20bc12c95ac9410580e372072cd6b50af76dff94ed",
+    "substeps_1": "03c6c84d1b1c558e3748df7653907d49d4f11cc00c37c5ae105f4e2491ecb4c0",
+    "substeps_20": "fbcc9cc425e5bb3be102e64deef60b3a0cfc5b83d8841d1583879c6e4a8af8ef",
+}
+
+
+def pinned_run(name):
+    setpoint, kw, reference = PINNED_CASES[name]
+    return simulate_closed_loop(
+        params_for(setpoint), SimConfig(setpoint=setpoint, **kw), reference=reference
+    )
+
+
+def euler_reference(p, cfg):
+    """Closed loop driven by peltier_derivatives, the one physics definition."""
+    pid = cfg.pid
+    dt = cfg.sample_time
+    dt_sub = dt / cfg.ode_substeps
+    drive_gain = -cfg.supply_voltage / p.r_ohm / (pid.out_max - pid.out_min)
+    state = [cfg.ambient, cfg.ambient]
+    integ = 0.0
+    u_out, y_out = [], []
+    for _ in range(cfg.n_samples):
+        y_meas = state[0]
+        err = cfg.setpoint - y_meas
+        new_integ = integ + pid.ki * dt * err
+        u_raw = pid.kp * err + new_integ
+        if (u_raw > pid.out_max and err > 0.0) or (u_raw < pid.out_min and err < 0.0):
+            new_integ = integ
+            u_raw = pid.kp * err + new_integ
+        integ = min(max(new_integ, min(pid.out_min, 0.0)), pid.out_max)
+        u = min(max(u_raw, pid.out_min), pid.out_max)
+        u_out.append(u)
+        y_out.append(y_meas)
+        current = (u - pid.out_min) * drive_gain
+        for _ in range(cfg.ode_substeps):
+            d_a, d_b = peltier_derivatives(state, current, p, cfg)
+            state = [state[0] + dt_sub * d_a, state[1] + dt_sub * d_b]
+    return np.array(u_out), np.array(y_out)
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_CASES))
+    def test_outputs_match_pinned_digest(self, name):
+        ds = pinned_run(name)
+        digest = hashlib.sha256(ds.u.tobytes() + ds.y.tobytes()).hexdigest()
+        assert digest == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("setpoint", sorted(MATCHED_SETS))
+    def test_loop_agrees_with_peltier_derivatives(self, setpoint):
+        p = params_for(setpoint)
+        cfg = clean_cfg(setpoint)
+        ds = simulate_closed_loop(p, cfg)
+        u_ref, y_ref = euler_reference(p, cfg)
+        np.testing.assert_allclose(ds.y, y_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ds.u, u_ref, rtol=1e-12, atol=0.0)
+
+
 class TestCampaign:
     def test_four_setpoints_settle(self):
         params = {sp: params_for(sp) for sp in MATCHED_SETS}
@@ -176,7 +272,49 @@ class TestCampaign:
             assert np.array_equal(da.u, db.u)
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dataset_columns(draw):
+    n = draw(st.integers(min_value=2, max_value=30))
+    dt = draw(st.floats(min_value=1e-3, max_value=1e3))
+    cols = [draw(st.lists(finite_floats, min_size=n, max_size=n)) for _ in "ruy"]
+    return (dt, *cols)
+
+
 class TestDatasetIO:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(columns=dataset_columns())
+    @example(columns=(1.0, [0.1, 5e-324], [-0.0, 1e300], [1e-300, -1e16]))
+    @example(columns=(0.1, [-5e-324, 2.2250738585072014e-308], [1e16, 0.0], [-1e-300, -0.0]))
+    def test_csv_round_trip_is_bit_exact(self, columns):
+        dt, r, u, y = columns
+        ds = TimeSeriesDataset(np.arange(len(r)) * dt, r, u, y)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.csv"
+            write_csv(ds, path)
+            back = read_csv(path)
+        for col in "truy":
+            assert getattr(back, col).tobytes() == getattr(ds, col).tobytes(), col
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        ds = TimeSeriesDataset(
+            [0.0, 0.5, 1.0, 1.5],
+            [0.1, 5e-324, 1e16, -0.0],
+            [-0.0, 0.1, 1e-300, 2.5e-308],
+            [1e300, -1e16, 123456789.125, -5e-324],
+        )
+        path = tmp_path / "ds.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == (
+            b"t,r,u,y\n"
+            b"0.0,0.1,-0.0,1e+300\n"
+            b"0.5,5e-324,0.1,-1e+16\n"
+            b"1.0,1e+16,1e-300,123456789.125\n"
+            b"1.5,-0.0,2.5e-308,-5e-324\n"
+        )
+
     def test_csv_round_trip_is_exact(self, tmp_path):
         ds = simulate_closed_loop(
             params_for(70.0),
