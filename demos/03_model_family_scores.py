@@ -9,7 +9,6 @@ smaller values.
 """
 
 from twindisc import (
-    CodingConfig,
     PeltierParams,
     PidConfig,
     SensorConfig,
@@ -34,10 +33,9 @@ dataset = simulate_closed_loop(params, cfg)
 print("identifying orders 22221..55551 on both channels (takes a moment) ...")
 family = identify_family(dataset)
 
-coding_cfg = CodingConfig(decimal_precision=2)
 print(f"{'order':>6} {'IG(y)':>7} {'IG(u)':>7} {'IGT':>7} {'nAICT':>9} {'BICT':>11} {'mdlT':>9}")
 for label, simo in sorted(family.models.items()):
-    gains = simo_information_gain(dataset, simo, coding_cfg)
+    gains = simo_information_gain(dataset, simo, precision=2)
     n_params = family.fits[(label, "y")].model.n_params
     crit = simo_criteria(dataset, simo, n_params)
     print(

@@ -10,7 +10,6 @@ model that stores the raw observations.
 import numpy as np
 
 from twindisc import (
-    CodingConfig,
     encode_number,
     information_gain,
     model_length,
@@ -45,7 +44,7 @@ for name, report in (("good", good), ("poor", poor)):
     )
 
 print()
-print("precision is a first-class knob; coarser tokens shrink every table:")
+print("precision (decimal digits kept, `discriminate --precision`, default 2) is the")
+print("codec's one setting; coarser tokens shrink every table:")
 for precision in (1, 2, 3):
-    cfg = CodingConfig(decimal_precision=precision)
-    print(f"  precision {precision}: trivial table costs {trivial_length(signal, cfg).table_length}")
+    print(f"  precision {precision}: trivial table costs {trivial_length(signal, precision).table_length}")

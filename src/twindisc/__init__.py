@@ -19,7 +19,7 @@ from .lti import (
 )
 from .coding import (
     CodeLengthReport,
-    CodingConfig,
+    DEFAULT_PRECISION,
     InformationGainReport,
     SimoGainReport,
     code_length,
@@ -63,7 +63,6 @@ from .twin import (
 )
 from .sysid import (
     BoxJenkinsModel,
-    FitOptions,
     FitResult,
     FitFailureError,
     OrderSpec,

@@ -40,12 +40,17 @@ _REPORT_CSV_COLUMNS = (
 @dataclass(frozen=True)
 class DiscriminateOptions:
     orders: tuple = sysid.DEFAULT_ORDER_LABELS
-    precision: int = 2
+    precision: int = coding.DEFAULT_PRECISION
     naic_form: str = "normalized"
     nugap_grid: int = DEFAULT_GRID_SIZE
     strict_winding: bool = False
     seed: int = 0
     residual_source: str = "sim"
+
+    def __post_init__(self):
+        # checked here so that a bad value fails before any identification
+        if self.precision < 0:
+            raise ValueError("precision must be >= 0")
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -53,6 +58,15 @@ def _atomic_write_text(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _out_dir_exists(out_path: str) -> bool:
+    """Check an output's directory before any work; print the usage error if absent."""
+    out_dir = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_dir):
+        return True
+    print(f"error: output directory {out_dir!r} does not exist", file=sys.stderr)
+    return False
 
 
 def _sha256_file(path: str) -> str:
@@ -126,10 +140,7 @@ def _nugap_model_order(best: dict) -> str | None:
 
 def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions) -> dict:
     """Identify the model family on one dataset and score every order."""
-    cfg_coding = coding.CodingConfig(decimal_precision=opts.precision)
-    family = sysid.identify_family(
-        dataset, opts.orders, sysid.FitOptions(seed=opts.seed)
-    )
+    family = sysid.identify_family(dataset, opts.orders, opts.seed)
     errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in family.errors]
 
     rows = []
@@ -140,7 +151,7 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions) -
         fit_y = family.fits[(label, "y")]
         fit_u = family.fits[(label, "u")]
         n_params = fit_y.model.n_params
-        gains = coding.simo_information_gain(dataset, simo, cfg_coding)
+        gains = coding.simo_information_gain(dataset, simo, opts.precision)
         crit = criteria.simo_criteria(
             dataset,
             simo,
@@ -347,6 +358,8 @@ def cmd_discriminate(args) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if not _out_dir_exists(args.out):
+        return EXIT_USAGE
     datasets = []
     load_errors = []
     for path in args.datasets:
@@ -371,8 +384,6 @@ def cmd_discriminate(args) -> int:
         )
         for label in opts.orders:
             sysid.OrderSpec.from_label(label)
-        if opts.precision < 0:
-            raise ValueError("--precision must be >= 0")
         if opts.nugap_grid < 64:
             raise ValueError("--nugap-grid must be >= 64")
     except ValueError as exc:
@@ -408,6 +419,8 @@ def _parse_initial(text: str) -> twin.PeltierParams:
 
 
 def cmd_match(args) -> int:
+    if not _out_dir_exists(args.out):
+        return EXIT_USAGE
     try:
         dataset = twin.read_csv(args.dataset)
     except (OSError, ValueError) as exc:
@@ -479,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("datasets", nargs="+", help="dataset CSV paths")
     p_dis.add_argument("--out", required=True, help="report path (JSON + CSV emitted)")
     p_dis.add_argument("--orders", default=",".join(sysid.DEFAULT_ORDER_LABELS))
-    p_dis.add_argument("--precision", type=int, default=2)
+    p_dis.add_argument("--precision", type=int, default=coding.DEFAULT_PRECISION)
     p_dis.add_argument("--naic-form", choices=criteria.NAIC_FORMS, default="normalized")
     p_dis.add_argument("--nugap-grid", type=int, default=DEFAULT_GRID_SIZE)
     p_dis.add_argument("--strict-winding", action="store_true")

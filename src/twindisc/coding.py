@@ -9,14 +9,16 @@ in characters is the information the model carries about the data.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lti
 
-_DIGITS = string.digits + string.ascii_uppercase
+#: Number of fractional digits kept before a value is scaled to an integer.
+#: Scores are sensitive to it, so every pricing function takes it as an
+#: argument; the pipeline exposes it as ``discriminate --precision``.
+DEFAULT_PRECISION = 2
 
 #: Fixed program lengths measured once for the reference implementations of
 #: the trivial look-up model and the rational-model evaluator.  They are
@@ -24,36 +26,6 @@ _DIGITS = string.digits + string.ascii_uppercase
 #: every score without changing a single ranking.
 TRIVIAL_PROGRAM_LENGTH = 15
 MODEL_PROGRAM_LENGTH = 176
-
-
-@dataclass(frozen=True)
-class CodingConfig:
-    """Knobs of the number codec.
-
-    ``decimal_precision`` is the number of fractional digits kept before a
-    value is scaled to an integer; scores are sensitive to it, so it is a
-    first-class option rather than a constant.  ``signed_zero`` switches the
-    token for exact zero from "0" to "+0".
-    """
-
-    radix: int = 10
-    decimal_precision: int = 2
-    trivial_program_length: int = TRIVIAL_PROGRAM_LENGTH
-    model_program_length: int = MODEL_PROGRAM_LENGTH
-    signed_zero: bool = False
-
-    def __post_init__(self):
-        if self.radix < 2:
-            raise ValueError("radix must be >= 2")
-        if self.radix > len(_DIGITS):
-            raise ValueError(f"radix must be <= {len(_DIGITS)}")
-        if self.decimal_precision < 0:
-            raise ValueError("decimal_precision must be >= 0")
-        if self.trivial_program_length < 0 or self.model_program_length < 0:
-            raise ValueError("program lengths must be >= 0")
-
-
-DEFAULT_CONFIG = CodingConfig()
 
 
 @dataclass(frozen=True)
@@ -100,54 +72,46 @@ class SimoGainReport:
         return self.y.gain + self.u.gain
 
 
-def encode_number(n: float, cfg: CodingConfig = DEFAULT_CONFIG) -> str:
+def encode_number(n: float, precision: int = DEFAULT_PRECISION) -> str:
     """Encode a real as a signed integer token, e.g. 10.34 -> "+1034".
 
-    The value is scaled by radix**decimal_precision, rounded half away
-    from zero, stripped of leading zeros and prefixed with its sign.
-    Exact zero has no sign and encodes as "0" (or "+0" when configured).
+    The value is scaled by 10**precision, rounded half away from zero,
+    stripped of leading zeros and prefixed with its sign.  Exact zero has
+    no sign and encodes as "0".
     """
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
     n = float(n)
     if not math.isfinite(n):
         raise ValueError(f"cannot encode non-finite value {n!r}")
-    scaled = abs(n) * cfg.radix**cfg.decimal_precision
-    magnitude = math.floor(scaled + 0.5)
+    magnitude = math.floor(abs(n) * 10**precision + 0.5)
     if magnitude >= 2**63:
         raise ValueError(f"value {n!r} overflows the 63-bit token range")
     if magnitude == 0:
-        return "+0" if cfg.signed_zero else "0"
-    if cfg.radix == 10:
-        digits = str(magnitude)
-    else:
-        parts = []
-        while magnitude:
-            magnitude, rem = divmod(magnitude, cfg.radix)
-            parts.append(_DIGITS[rem])
-        digits = "".join(reversed(parts))
-    sign = "-" if n < 0.0 else "+"
-    return sign + digits
+        return "0"
+    return ("-" if n < 0.0 else "+") + str(magnitude)
 
 
-def code_length(n: float, cfg: CodingConfig = DEFAULT_CONFIG) -> int:
+def code_length(n: float, precision: int = DEFAULT_PRECISION) -> int:
     """Character count of the token for ``n``."""
-    return len(encode_number(n, cfg))
+    return len(encode_number(n, precision))
 
 
-def table_length(values, cfg: CodingConfig = DEFAULT_CONFIG) -> int:
+def table_length(values, precision: int = DEFAULT_PRECISION) -> int:
     """Summed token length of a look-up table; an empty table costs 0."""
-    return sum(code_length(v, cfg) for v in np.asarray(values, dtype=float).ravel())
+    return sum(code_length(v, precision) for v in np.asarray(values, dtype=float).ravel())
 
 
-def trivial_length(outputs, cfg: CodingConfig = DEFAULT_CONFIG) -> CodeLengthReport:
+def trivial_length(outputs, precision: int = DEFAULT_PRECISION) -> CodeLengthReport:
     """Price of the trivial model: fixed program plus the raw outputs."""
     outputs = np.asarray(outputs, dtype=float)
     if outputs.size == 0:
         raise ValueError("outputs must be non-empty")
-    return CodeLengthReport(cfg.trivial_program_length, table_length(outputs, cfg))
+    return CodeLengthReport(TRIVIAL_PROGRAM_LENGTH, table_length(outputs, precision))
 
 
 def model_length(
-    outputs, predictions, cfg: CodingConfig = DEFAULT_CONFIG
+    outputs, predictions, precision: int = DEFAULT_PRECISION
 ) -> CodeLengthReport:
     """Price of a candidate model: fixed program plus its residual table."""
     outputs = np.asarray(outputs, dtype=float)
@@ -157,7 +121,7 @@ def model_length(
             f"outputs and predictions must align, got {outputs.shape} vs {predictions.shape}"
         )
     return CodeLengthReport(
-        cfg.model_program_length, table_length(outputs - predictions, cfg)
+        MODEL_PROGRAM_LENGTH, table_length(outputs - predictions, precision)
     )
 
 
@@ -169,7 +133,7 @@ def information_gain(
 
 
 def simo_information_gain(
-    dataset, simo: lti.SimoModel, cfg: CodingConfig = DEFAULT_CONFIG
+    dataset, simo: lti.SimoModel, precision: int = DEFAULT_PRECISION
 ) -> SimoGainReport:
     """Score both channels of a SIMO model against one recorded dataset.
 
@@ -179,9 +143,9 @@ def simo_information_gain(
     y_hat = lti.simulate(simo.tf_y, dataset.r)
     u_hat = lti.simulate(simo.tf_u, dataset.r)
     ig_y = information_gain(
-        trivial_length(dataset.y, cfg), model_length(dataset.y, y_hat, cfg)
+        trivial_length(dataset.y, precision), model_length(dataset.y, y_hat, precision)
     )
     ig_u = information_gain(
-        trivial_length(dataset.u, cfg), model_length(dataset.u, u_hat, cfg)
+        trivial_length(dataset.u, precision), model_length(dataset.u, u_hat, precision)
     )
     return SimoGainReport(y=ig_y, u=ig_u)

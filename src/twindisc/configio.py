@@ -62,7 +62,6 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
         sensor = SensorConfig(
             quantization=_get(parser, "sensor", "quantization_c", float, 0.0),
             noise_std=_get(parser, "sensor", "noise_std_c", float, 0.0),
-            seed=_get(parser, "sensor", "seed", int, 0),
         )
         cfg = SimConfig(
             setpoint=setpoints[0],

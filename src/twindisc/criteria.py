@@ -19,13 +19,12 @@ NAIC_FORMS = ("normalized", "literal")
 
 @dataclass(frozen=True)
 class ResidualSummary:
-    """One channel's prediction errors plus the model bookkeeping counts."""
+    """One scalar channel's prediction errors plus its parameter count."""
 
     residuals: tuple
     n_params: int
-    n_outputs: int = 1
 
-    def __init__(self, residuals, n_params: int, n_outputs: int = 1):
+    def __init__(self, residuals, n_params: int):
         residuals = tuple(float(r) for r in np.asarray(residuals, dtype=float).ravel())
         if len(residuals) < 1:
             raise ValueError("need at least one residual")
@@ -33,11 +32,8 @@ class ResidualSummary:
             raise ValueError("residuals must be finite")
         if n_params < 0:
             raise ValueError("n_params must be >= 0")
-        if n_outputs < 1:
-            raise ValueError("n_outputs must be >= 1")
         object.__setattr__(self, "residuals", residuals)
         object.__setattr__(self, "n_params", int(n_params))
-        object.__setattr__(self, "n_outputs", int(n_outputs))
 
     @property
     def n_samples(self) -> int:
@@ -78,13 +74,13 @@ def naic_value(
     return math.log(loss) + penalty
 
 
-def bic_value(loss: float, n_params: int, n_outputs: int, n_samples: int) -> float:
+def bic_value(loss: float, n_params: int, n_samples: int) -> float:
     if loss == 0.0:
         return -math.inf
     n = n_samples
     return (
         n * math.log(loss)
-        + n * (n_outputs * math.log(2.0 * math.pi) + 1.0)
+        + n * (math.log(2.0 * math.pi) + 1.0)
         + n_params * math.log(n)
     )
 
@@ -102,7 +98,7 @@ def naic(rs: ResidualSummary, form: str = "normalized") -> float:
 
 def bic(rs: ResidualSummary) -> float:
     """Bayesian information criterion with the Gaussian-likelihood constant."""
-    return bic_value(loss_function(rs), rs.n_params, rs.n_outputs, rs.n_samples)
+    return bic_value(loss_function(rs), rs.n_params, rs.n_samples)
 
 
 def mdl(rs: ResidualSummary) -> float:
@@ -114,7 +110,7 @@ def criteria_report(rs: ResidualSummary, naic_form: str = "normalized") -> Crite
     loss = loss_function(rs)
     return CriteriaReport(
         naic=naic_value(loss, rs.n_params, rs.n_samples, naic_form),
-        bic=bic_value(loss, rs.n_params, rs.n_outputs, rs.n_samples),
+        bic=bic_value(loss, rs.n_params, rs.n_samples),
         mdl=mdl_value(loss, rs.n_params, rs.n_samples),
         loss=loss,
         zero_loss=(loss == 0.0),

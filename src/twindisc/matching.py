@@ -25,6 +25,7 @@ from .twin import (
 
 MEASURED_RESISTANCE = 3.3  # ohm
 FD_STEP = 1e-4  # relative step of the central-difference Jacobian
+TOL = 1e-10  # relative cost drop that counts as converged
 
 #: Initial-guess presets for the matching search: the module datasheet, an
 #: independent bench measurement, and hands-on operating experience.
@@ -123,7 +124,6 @@ class MatchOptions:
     # the alpha/K/C ridge is a long curved valley: the crawl phase can take
     # ~100 iterations before quadratic convergence kicks in
     max_iter: int = 150
-    tol: float = 1e-10
     multistart: bool = True
 
 
@@ -238,7 +238,7 @@ def match_parameters(
     start_costs = []
     for idx, start in enumerate(starts):
         outcome = levenberg_marquardt(
-            residual, jacobian, start, opts.max_iter, opts.tol, project=problem.bounds.clip
+            residual, jacobian, start, opts.max_iter, TOL, project=problem.bounds.clip
         )
         if outcome is None:
             start_costs.append(math.inf)

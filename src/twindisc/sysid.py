@@ -26,13 +26,14 @@ from .lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
 DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
 _STABILITY_MARGIN = 1e-6
 
+MAX_ITER = 200  # LM iterations per start
+TOL = 1e-10  # relative cost drop that counts as converged
+N_STARTS = 5  # the ARX initializer plus seeded perturbations of it
+PERTURBATION = 0.2  # perturbation scale, relative to 1 + |theta|
+
 
 class FitFailureError(RuntimeError):
-    """No stable iterate could be produced; carries the best attempt if any."""
-
-    def __init__(self, message: str, best=None):
-        self.best = best
-        super().__init__(message)
+    """No start of an output-error fit produced a stable iterate."""
 
 
 @dataclass(frozen=True)
@@ -107,20 +108,6 @@ class BoxJenkinsModel:
     @property
     def deterministic_tf(self) -> DiscreteTransferFunction:
         return DiscreteTransferFunction(self.b, self.f, self.sample_time)
-
-    @property
-    def noise_tf(self) -> DiscreteTransferFunction:
-        return DiscreteTransferFunction(self.c, self.d, self.sample_time)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 200
-    tol: float = 1e-10
-    n_starts: int = 5
-    seed: int = 0
-    perturbation: float = 0.2
-    extra_starts: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,15 +194,15 @@ def _arx_start(u: np.ndarray, y: np.ndarray, order: OrderSpec) -> np.ndarray:
     return np.concatenate([theta[:nb], f[1:]])
 
 
-def fit_output_error(input, output, order, opts: FitOptions = FitOptions()) -> FitResult:
+def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> FitResult:
     """Fit the deterministic channel B/F by simulation-error minimization.
 
-    Runs a seeded multistart around the ARX initializer (plus any
-    ``opts.extra_starts``) and returns the best iterate even when not
-    converged.  C and D come back as identity; see
-    :func:`fit_noise_model` for the noise half.  Raw sequences carry no
-    time base, so the returned model is stamped with a unit sample time
-    (:func:`identify_family` restamps it from the dataset).
+    Runs a seeded multistart around the ARX initializer, plus
+    ``warm_start`` (B/F parameters ``[b_nk, .., f_1, ..]``) when given, and
+    returns the best iterate even when not converged.  C and D come back as
+    identity; see :func:`fit_noise_model` for the noise half.  Raw
+    sequences carry no time base, so the returned model is stamped with a
+    unit sample time (:func:`identify_family` restamps it from the dataset).
     """
     order = _coerce_order(order)
     u = np.asarray(input, dtype=float).ravel()
@@ -230,17 +217,20 @@ def fit_output_error(input, output, order, opts: FitOptions = FitOptions()) -> F
         )
 
     theta0 = _arx_start(u, y, order)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     starts = [theta0]
-    scale = opts.perturbation * (1.0 + np.abs(theta0))
-    for _ in range(max(opts.n_starts - 1, 0)):
+    scale = PERTURBATION * (1.0 + np.abs(theta0))
+    for _ in range(N_STARTS - 1):
         cand = theta0 + scale * rng.standard_normal(theta0.size)
         f = _project_stable(np.concatenate([[1.0], cand[order.nb:]]), radius=0.95)
         starts.append(np.concatenate([cand[: order.nb], f[1:]]))
-    for extra in opts.extra_starts:
-        extra = np.asarray(extra, dtype=float)
-        if extra.size == theta0.size:
-            starts.append(extra)
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=float).ravel()
+        if warm_start.size != theta0.size:
+            raise ValueError(
+                f"warm_start must have nb + nf = {theta0.size} entries, got {warm_start.size}"
+            )
+        starts.append(warm_start)
 
     def residual(theta):
         return _oe_residual(theta, u, y, order.nk, order.nb)
@@ -250,7 +240,7 @@ def fit_output_error(input, output, order, opts: FitOptions = FitOptions()) -> F
 
     best = None
     for idx, start in enumerate(starts):
-        outcome = levenberg_marquardt(residual, jacobian, start, opts.max_iter, opts.tol)
+        outcome = levenberg_marquardt(residual, jacobian, start, MAX_ITER, TOL)
         if outcome is None:
             continue
         theta, cost, iterations, converged, _ = outcome
@@ -339,13 +329,8 @@ class FamilyResult:
     fits: dict
     errors: tuple
 
-    def simo(self, label: str) -> SimoModel:
-        return self.models[label]
 
-
-def identify_family(
-    dataset, order_labels=DEFAULT_ORDER_LABELS, opts: FitOptions = FitOptions()
-) -> FamilyResult:
+def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -> FamilyResult:
     """Fit both channels (r -> y, r -> u) for every requested order.
 
     Orders are processed ascending and each fit warm-starts from the
@@ -364,31 +349,19 @@ def identify_family(
     models: dict = {}
     fits: dict = {}
     errors: list = []
-    prev_theta: dict = {"y": None, "u": None}
-    prev_order: dict = {"y": None, "u": None}
+    prev: dict = {}  # channel -> (order, B/F parameters) of its last successful fit
 
     for order in orders:
         per_channel = {}
         for ch, signal_out in channels.items():
-            extras = []
-            prev = prev_theta[ch]
-            if prev is not None:
-                ps = prev_order[ch]
+            warm = None
+            if ch in prev:
+                ps, pt = prev[ch]
                 if ps.nk == order.nk and ps.nb <= order.nb and ps.nf <= order.nf:
-                    extras.append(
-                        np.concatenate(
-                            [
-                                prev[: ps.nb],
-                                np.zeros(order.nb - ps.nb),
-                                prev[ps.nb :],
-                                np.zeros(order.nf - ps.nf),
-                            ]
-                        )
-                    )
+                    pad_b, pad_f = np.zeros(order.nb - ps.nb), np.zeros(order.nf - ps.nf)
+                    warm = np.concatenate([pt[: ps.nb], pad_b, pt[ps.nb :], pad_f])
             try:
-                fit = fit_output_error(
-                    r, signal_out, order, replace(opts, extra_starts=tuple(extras))
-                )
+                fit = fit_output_error(r, signal_out, order, seed, warm)
                 c, d = fit_noise_model(fit.sim_residuals, order.nc, order.nd)
                 model = replace(fit.model, c=c, d=d, sample_time=ts)
                 fit = replace(
@@ -404,8 +377,7 @@ def identify_family(
             theta = np.concatenate(
                 [fit.model.b.as_array()[order.nk :], fit.model.f.as_array()[1:]]
             )
-            prev_theta[ch] = theta
-            prev_order[ch] = order
+            prev[ch] = (order, theta)
         if "y" in per_channel and "u" in per_channel:
             models[order.label] = SimoModel(
                 tf_y=per_channel["y"].model.deterministic_tf,

@@ -20,7 +20,7 @@ from twindisc.criteria import ResidualSummary, bic, mdl, naic
 from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.matching import INITIAL_GUESS_PRESETS, MatchOptions, MatchProblem, match_parameters
 from twindisc.nugap import argmin_cumulative, nugap, select_nominal
-from twindisc.sysid import FitOptions, OrderSpec, fit_output_error, identify_family
+from twindisc.sysid import OrderSpec, fit_output_error, identify_family
 from twindisc.twin import (
     KELVIN_OFFSET,
     PeltierParams,
@@ -250,7 +250,7 @@ def test_c09_fitting_oracle():
         dataset = TimeSeriesDataset(
             np.arange(500.0), step, step.copy(), noisy, label="oracle"
         )
-        family = identify_family(dataset, opts=FitOptions(seed=0))
+        family = identify_family(dataset, seed=0)
         norms = [
             float(np.sum(family.fits[(lbl, "y")].sim_residuals ** 2))
             for lbl in ("22221", "33331", "44441", "55551")

@@ -302,6 +302,26 @@ class TestDiscriminateCommand:
         assert "error: --seed must be >= 0" in capsys.readouterr().err
         assert not os.path.exists(f"{out}.json")
 
+    def test_missing_out_dir_is_usage_error_before_any_work(
+        self, tmp_path, campaign_files, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.twin, "read_csv", lambda path: pytest.fail("data was read"))
+        out = tmp_path / "missing" / "r.json"
+        code = cli.main(["discriminate", *campaign_files, "--out", str(out)])
+        assert code == 2
+        assert "error: output directory" in capsys.readouterr().err
+
+    def test_negative_precision_is_rejected_before_any_work(
+        self, tmp_path, campaign_files, capsys
+    ):
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            cli.DiscriminateOptions(precision=-1)
+        code = cli.main(
+            ["discriminate", *campaign_files, "--out", str(tmp_path / "r"), "--precision", "-1"]
+        )
+        assert code == 2
+        assert "error: precision must be >= 0" in capsys.readouterr().err
+
     def test_bad_order_label_is_usage_error(self, tmp_path, campaign_files):
         code = cli.main(
             [
@@ -359,6 +379,16 @@ class TestMatchCommand:
         assert code == 2
         assert "NaN or inf" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_missing_out_dir_is_usage_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = self._dataset(tmp_path)
+        monkeypatch.setattr(cli.twin, "read_csv", lambda path: pytest.fail("data was read"))
+        out = tmp_path / "missing" / "m.json"
+        code = cli.main(["match", path, "--initial", "datasheet", "--out", str(out)])
+        assert code == 2
+        assert "error: output directory" in capsys.readouterr().err
 
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")

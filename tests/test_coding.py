@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twindisc.coding import (
     CodeLengthReport,
-    CodingConfig,
     code_length,
     encode_number,
     information_gain,
@@ -29,21 +32,18 @@ class TestEncodeNumber:
         assert encode_number(0.0) == "0"
         assert code_length(0.0) == 1
 
-    def test_signed_zero_switch(self):
-        cfg = CodingConfig(signed_zero=True)
-        assert encode_number(0.0, cfg) == "+0"
-        assert code_length(0.0, cfg) == 2
-
     def test_half_away_from_zero_rounding(self):
         assert encode_number(123.456) == "+12346"
         assert code_length(123.456) == 6
         assert encode_number(-123.456) == "-12346"
 
     def test_precision_knob(self):
-        cfg = CodingConfig(decimal_precision=0)
-        assert encode_number(10.34, cfg) == "+10"
-        cfg3 = CodingConfig(decimal_precision=3)
-        assert encode_number(10.34, cfg3) == "+10340"
+        assert encode_number(10.34, 0) == "+10"
+        assert encode_number(10.34, 3) == "+10340"
+
+    def test_negative_precision_rejected(self):
+        with pytest.raises(ValueError, match="precision"):
+            encode_number(10.34, -1)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -68,9 +68,35 @@ class TestEncodeNumber:
         for value in rng.uniform(0.005, 1e5, size=200):
             assert code_length(value) == code_length(-value)
 
-    def test_binary_radix(self):
-        cfg = CodingConfig(radix=2, decimal_precision=0)
-        assert encode_number(5, cfg) == "+101"
+
+def token_draws():
+    """(value, precision) pairs: finite floats inside the 63-bit token range,
+    half of them on or next to a rounding tie (k + 0.5) / 10**p."""
+
+    def values(p):
+        ties = st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) / 10**p)
+        return st.one_of(st.floats(-9.2e18 / 10**p, 9.2e18 / 10**p), ties)
+
+    return st.integers(0, 6).flatmap(lambda p: st.tuples(values(p), st.just(p)))
+
+
+class TestCodecProperties:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(token_draws())
+    def test_token_is_the_rounded_scaled_value(self, draw):
+        x, p = draw
+        token = encode_number(x, p)
+        magnitude = math.floor(abs(x) * 10**p + 0.5)
+        assert int(token) == (-magnitude if x < 0 else magnitude)
+        if token != "0":
+            assert token[0] in "+-" and token[1:].isdigit() and token[1] != "0"
+        assert code_length(x, p) == len(token)
+        mirrored = encode_number(-x, p)
+        assert mirrored[1:] == token[1:]
+        if token == "0":
+            assert mirrored == "0"
+        else:
+            assert {token[0], mirrored[0]} == {"+", "-"}
 
 
 class TestTableLength:

@@ -29,7 +29,6 @@ anti_windup = conditional
 [sensor]
 quantization_c = 0.25
 noise_std_c = 0.1
-seed = 77
 """
 
 GOOD_PARAMS = """\
@@ -59,7 +58,6 @@ class TestSimConfigFile:
         assert cfg.pid.kp == 3.5
         assert cfg.pid.out_max == 200.0
         assert cfg.sensor.quantization == 0.25
-        assert cfg.sensor.seed == 77
 
     def test_defaults_fill_missing_sections(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -90,12 +88,6 @@ class TestSimConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_sim_config(tmp_path / "absent.ini")
-
-    def test_negative_sensor_seed_is_config_error(self, tmp_path):
-        path = tmp_path / "seed.ini"
-        path.write_text("[simulation]\nsetpoints = 30\n\n[sensor]\nseed = -1\n")
-        with pytest.raises(ConfigError, match="seed must be >= 0"):
-            load_sim_config(path)
 
 
 class TestParamsFile:

@@ -17,8 +17,8 @@ from twindisc.lti import DiscreteTransferFunction, SimoModel, simulate
 from twindisc.twin import TimeSeriesDataset
 
 
-def rs(residuals, n_params=0, n_outputs=1):
-    return ResidualSummary(residuals, n_params, n_outputs)
+def rs(residuals, n_params=0):
+    return ResidualSummary(residuals, n_params)
 
 
 class TestLossFunction:
@@ -66,7 +66,7 @@ class TestNaic:
 
 class TestBic:
     def test_direct_formula_evaluation(self):
-        summary = rs([1.0] * 10, n_params=2, n_outputs=1)
+        summary = rs([1.0] * 10, n_params=2)
         expected = 10 * (math.log(2 * math.pi) + 1) + 2 * math.log(10)
         assert bic(summary) == pytest.approx(expected)
         assert bic(summary) == pytest.approx(32.9839, abs=2e-4)
@@ -156,8 +156,6 @@ class TestResidualSummary:
             rs([np.inf])
         with pytest.raises(ValueError):
             rs([1.0], n_params=-1)
-        with pytest.raises(ValueError):
-            ResidualSummary([1.0], 0, n_outputs=0)
 
 
 class TestSimoCriteria:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from twindisc.lti import frequency_response, pole_magnitudes, simulate
 from twindisc.sysid import (
     BoxJenkinsModel,
-    FitOptions,
     OrderSpec,
     fit_noise_model,
     fit_output_error,
@@ -99,17 +98,22 @@ class TestFitOutputError:
         with pytest.raises(ValueError, match="at least"):
             fit_output_error(np.ones(30), np.ones(30), "22221")
 
+    def test_warm_start_of_wrong_size_rejected(self):
+        u, y = noisy_step_response([0.0, 0.4, -0.3], [1.0, -1.1, 0.3])
+        with pytest.raises(ValueError, match="warm_start"):
+            fit_output_error(u, y, "22221", warm_start=np.zeros(3))
+
     def test_deterministic_given_seed(self):
         u, y = noisy_step_response([0.0, 0.4, -0.3], [1.0, -1.1, 0.3], noise=0.05)
-        a = fit_output_error(u, y, "22221", FitOptions(seed=3))
-        b = fit_output_error(u, y, "22221", FitOptions(seed=3))
+        a = fit_output_error(u, y, "22221", seed=3)
+        b = fit_output_error(u, y, "22221", seed=3)
         assert a.model.b.coeffs == b.model.b.coeffs
         assert a.model.f.coeffs == b.model.f.coeffs
 
     def test_gain_invariance_under_common_scaling(self):
         u, y = noisy_step_response([0.0, 0.4, -0.3], [1.0, -1.1, 0.3], noise=0.02)
-        base = fit_output_error(u, y, "22221", FitOptions(seed=1))
-        scaled = fit_output_error(5.0 * u, 5.0 * y, "22221", FitOptions(seed=1))
+        base = fit_output_error(u, y, "22221", seed=1)
+        scaled = fit_output_error(5.0 * u, 5.0 * y, "22221", seed=1)
         assert np.allclose(base.model.b.coeffs, scaled.model.b.coeffs, rtol=1e-6, atol=1e-9)
         assert np.allclose(base.model.f.coeffs, scaled.model.f.coeffs, rtol=1e-6, atol=1e-9)
 
@@ -119,7 +123,7 @@ class TestFitOutputError:
             u = rng.standard_normal(300)
             y = scipy.signal.lfilter([0, 0.2, 0.1], [1.0, -1.85, 0.855], u)
             y = y + 0.1 * rng.standard_normal(300)
-            fit = fit_output_error(u, y, "22221", FitOptions(seed=seed))
+            fit = fit_output_error(u, y, "22221", seed=seed)
             assert np.max(pole_magnitudes(fit.model.f)) < 1.0 + 1e-9
 
 

@@ -155,6 +155,10 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             SimConfig(setpoint=50.0, ode_substeps=0)
 
+    def test_negative_sensor_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SensorConfig(noise_std=0.05, seed=-1)
+
 
 # SHA-256 of u.tobytes() + y.tobytes() per case, recorded from the
 # numpy-scalar loop: the closed loop must keep its arithmetic and its
