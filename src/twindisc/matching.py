@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lm import levenberg_marquardt
+from .lm import CONVERGED_REASONS, levenberg_marquardt
 from .twin import (
     PeltierParams,
     SensorConfig,
@@ -233,37 +233,37 @@ def match_parameters(
     def jacobian(theta, r):
         return _fd_jacobian(problem, theta, r)
 
+    lo, hi = problem.bounds.arrays()
     starts = _starts(problem, opts)
     best = None
     start_costs = []
     for idx, start in enumerate(starts):
         outcome = levenberg_marquardt(
-            residual, jacobian, start, opts.max_iter, TOL, project=problem.bounds.clip
+            residual, jacobian, start, opts.max_iter, TOL, bounds=(lo, hi)
         )
         if outcome is None:
             start_costs.append(math.inf)
             continue
-        theta, cost, iterations, converged, trace = outcome
+        theta, cost, iterations, reason, trace = outcome
         start_costs.append(cost)
         if best is None or cost < best[0]:
-            best = (cost, idx, theta, iterations, converged, trace)
+            best = (cost, idx, theta, iterations, reason, trace)
     if best is None:
         raise MatchFailureError(
             "every multistart diverged",
             diagnostics={"start_costs": tuple(start_costs), "n_starts": len(starts)},
         )
 
-    cost, idx, theta, iterations, converged, trace = best
+    cost, idx, theta, iterations, reason, trace = best
     params = problem.params_from(theta)
     sim = _simulate_candidate(problem, params)
-    lo, hi = problem.bounds.arrays()
     at_bound = bool(np.any(np.isclose(theta, lo, rtol=1e-12, atol=0.0))
                     or np.any(np.isclose(theta, hi, rtol=1e-12, atol=0.0)))
     return MatchResult(
         params=params,
         sse=cost,
         iterations=iterations,
-        converged=converged and not at_bound,
+        converged=reason in CONVERGED_REASONS and not at_bound,
         y_residuals=problem.dataset.y - sim.y,
         u_residuals=problem.dataset.u - sim.u,
         at_bound=at_bound,

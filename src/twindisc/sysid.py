@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.signal
 
-from .lm import levenberg_marquardt
+from .lm import CONVERGED_REASONS, levenberg_marquardt
 from .lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
 
 DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
@@ -243,15 +243,15 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
         outcome = levenberg_marquardt(residual, jacobian, start, MAX_ITER, TOL)
         if outcome is None:
             continue
-        theta, cost, iterations, converged, _ = outcome
+        theta, cost, iterations, reason, _ = outcome
         if best is None or cost < best[0]:
-            best = (cost, idx, theta, iterations, converged)
+            best = (cost, idx, theta, iterations, reason)
     if best is None:
         raise FitFailureError(
             f"no stable iterate found for order {order.label} on {y.size} samples"
         )
 
-    cost, _, theta, iterations, converged = best
+    cost, _, theta, iterations, reason = best
     model = BoxJenkinsModel(
         b=DiscretePolynomial(np.concatenate([np.zeros(order.nk), theta[: order.nb]])),
         c=DiscretePolynomial([1.0]),
@@ -265,7 +265,7 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
         model=model,
         sim_residuals=residuals,
         pred_residuals=residuals.copy(),
-        converged=converged,
+        converged=reason in CONVERGED_REASONS,
         iterations=iterations,
         cost=cost,
     )

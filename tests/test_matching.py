@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twindisc import matching
 from twindisc.matching import (
     INITIAL_GUESS_PRESETS,
     MatchOptions,
@@ -127,6 +128,38 @@ class TestMatchParameters:
         assert result.at_bound
         assert not result.converged
         assert result.params.alpha == pytest.approx(0.015, rel=1e-9)
+
+    def test_noisy_short_record_budget_and_winner_bits(self, monkeypatch):
+        # 60 s at 70 C with sensor noise: four of the five starts are pushed
+        # into the k_cond = 1 corner.  Clipping each candidate there, with no
+        # active set, crawls to the iteration cap in 5,167 simulations.  The
+        # winner never touches the box, so its bits must not depend on it.
+        cfg = SimConfig(setpoint=70.0, duration=60.0, sensor=SensorConfig(noise_std=0.05, seed=1))
+        problem = MatchProblem(
+            dataset=simulate_closed_loop(TRUTH_70, cfg),
+            initial=INITIAL_GUESS_PRESETS["datasheet"],
+            sim_config=cfg,
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return simulate_closed_loop(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "simulate_closed_loop", counting)
+        result = match_parameters(problem)
+        assert len(calls) <= 1500
+        assert result.start_index == 1
+        assert not result.at_bound
+        assert [
+            v.hex()
+            for v in (result.sse, result.params.alpha, result.params.k_cond, result.params.c_heat)
+        ] == [
+            "0x1.2c9ab04152734p-1",
+            "0x1.53adbac84805bp-6",
+            "0x1.1dec9068198acp-2",
+            "0x1.5e86f368d22d9p+3",
+        ]
 
     def test_initial_must_be_in_bounds(self):
         with pytest.raises(ValueError):

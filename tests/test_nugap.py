@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.nugap import (
@@ -21,6 +23,22 @@ def grassmann_distance(p1, p2):
     b = np.concatenate([[1.0], np.asarray(p2, dtype=complex).ravel()])
     cos2 = abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
     return float(np.sqrt(max(1.0 - cos2, 0.0)))
+
+
+@st.composite
+def stable_tfs(draw):
+    """Strictly proper channel of degree 1-3, every pole within radius 0.9."""
+    degree = draw(st.integers(1, 3))
+    roots = draw(st.lists(st.floats(-0.9, 0.9), min_size=degree, max_size=degree))
+    if degree >= 2 and draw(st.booleans()):
+        pole = draw(st.floats(0.1, 0.9)) * np.exp(1j * draw(st.floats(0.0, np.pi)))
+        roots[:2] = [pole, np.conj(pole)]
+    den = np.real(np.poly(roots))
+    num = [0.0] + draw(st.lists(st.floats(-1.0, 1.0), min_size=degree, max_size=degree))
+    return DiscreteTransferFunction(num, den, 1.0)
+
+
+stable_simos = st.builds(SimoModel, tf_y=stable_tfs(), tf_u=stable_tfs())
 
 
 class TestChordalDistance:
@@ -76,6 +94,21 @@ class TestNugap:
             gbc = nugap(b, c, grid_size=256)
             gac = nugap(a, c, grid_size=256)
             assert gac <= gab + gbc + 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(stable_simos, stable_simos)
+    def test_symmetry_property(self, a, b):
+        g_ab = nugap(a, b, grid_size=256)
+        assert 0.0 <= g_ab <= 1.0
+        assert g_ab == pytest.approx(nugap(b, a, grid_size=256), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(stable_simos, stable_simos, stable_simos)
+    def test_triangle_inequality_property(self, a, b, c):
+        gab = nugap(a, b, grid_size=256)
+        gbc = nugap(b, c, grid_size=256)
+        gac = nugap(a, c, grid_size=256)
+        assert gac <= gab + gbc + 1e-6
 
     def test_grid_doubling_stability(self):
         rng = np.random.default_rng(4)
