@@ -34,10 +34,12 @@ print("identifying orders 22221..55551 on both channels (takes a moment) ...")
 family = identify_family(dataset)
 
 print(f"{'order':>6} {'IG(y)':>7} {'IG(u)':>7} {'IGT':>7} {'nAICT':>9} {'BICT':>11} {'mdlT':>9}")
-for label, simo in sorted(family.models.items()):
-    gains = simo_information_gain(dataset, simo, precision=2)
-    n_params = family.fits[(label, "y")].model.n_params
-    crit = simo_criteria(dataset, simo, n_params)
+for label in sorted(family.models):
+    fit_y, fit_u = family.fits[(label, "y")], family.fits[(label, "u")]
+    # every score is a function of the fits' own free-run residuals
+    residuals = (fit_y.sim_residuals, fit_u.sim_residuals)
+    gains = simo_information_gain(dataset, residuals, precision=2)
+    crit = simo_criteria(residuals, fit_y.model.n_params)
     print(
         f"{label:>6} {gains.y.gain:7d} {gains.u.gain:7d} {gains.total_gain:7d} "
         f"{crit.naic_total:9.4f} {crit.bic_total:11.2f} {crit.mdl_total:9.4f}"

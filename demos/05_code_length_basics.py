@@ -30,8 +30,9 @@ rng = np.random.default_rng(0)
 signal = 25.0 + np.cumsum(rng.normal(0.0, 0.3, size=200))
 
 trivial = trivial_length(signal)
-good = model_length(signal, signal + rng.normal(0.0, 0.05, size=200))
-poor = model_length(signal, signal + rng.normal(0.0, 5.0, size=200))
+# a model is priced by its residual table, here drawn at two noise levels
+good = model_length(rng.normal(0.0, 0.05, size=200))
+poor = model_length(rng.normal(0.0, 5.0, size=200))
 
 print()
 print("scoring a 200-sample signal:")

@@ -28,6 +28,7 @@ EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
 CRITERION_KEYS = ("information_gain", "naic", "bic", "mdl")
+RESIDUAL_SOURCES = ("sim", "pred")
 
 _REPORT_CSV_COLUMNS = (
     "setpoint,order,n_params,"
@@ -51,6 +52,15 @@ class DiscriminateOptions:
         # checked here so that a bad value fails before any identification
         if self.precision < 0:
             raise ValueError("precision must be >= 0")
+        if self.naic_form not in criteria.NAIC_FORMS:
+            raise ValueError(
+                f"naic form must be one of {criteria.NAIC_FORMS}, got {self.naic_form!r}"
+            )
+        if self.residual_source not in RESIDUAL_SOURCES:
+            raise ValueError(
+                f"residual source must be one of {RESIDUAL_SOURCES}, "
+                f"got {self.residual_source!r}"
+            )
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -104,24 +114,17 @@ def validate_report(report: dict) -> None:
     jsonschema.validate(report, load_report_schema())
 
 
-def _best_orders(rows: list) -> tuple[dict, dict]:
-    """Flag the winning order per criterion; exact ties go to the lowest index."""
+def _best_orders(labels: list, scores: dict) -> tuple[dict, dict]:
+    """Flag the lowest-scoring order per criterion; exact ties go to the lowest index."""
     best: dict = {}
     ties: dict = {}
-    scored = {
-        "information_gain": [(-(r["ig_total"]), r["order"]) for r in rows],
-        "naic": [(r["_naic_total"], r["order"]) for r in rows],
-        "bic": [(r["_bic_total"], r["order"]) for r in rows],
-        "mdl": [(r["mdl_total"], r["order"]) for r in rows],
-    }
-    for key, pairs in scored.items():
-        if not pairs:
+    for key, values in scores.items():
+        if not values:
             best[key] = None
             ties[key] = False
             continue
-        values = [v for v, _ in pairs]
         winner = min(range(len(values)), key=values.__getitem__)
-        best[key] = pairs[winner][1]
+        best[key] = labels[winner]
         ties[key] = sum(1 for v in values if v == values[winner]) > 1
     return best, ties
 
@@ -138,27 +141,29 @@ def _nugap_model_order(best: dict) -> str | None:
     return min(label for label, c in counts.items() if c == top)
 
 
-def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions) -> dict:
-    """Identify the model family on one dataset and score every order."""
+def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
+    """Identify the model family on one dataset and score every order.
+
+    Every order is scored from its fits' own residuals.  Returns the dataset's
+    report and the model the nu-gap stage uses (None without a consensus).
+    """
     family = sysid.identify_family(dataset, opts.orders, opts.seed)
     errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in family.errors]
 
     rows = []
+    # lower is better for every criterion, so information gain enters negated
+    scores = {key: [] for key in CRITERION_KEYS}
     for label in opts.orders:
         if label not in family.models:
             continue
-        simo = family.models[label]
         fit_y = family.fits[(label, "y")]
         fit_u = family.fits[(label, "u")]
         n_params = fit_y.model.n_params
-        gains = coding.simo_information_gain(dataset, simo, opts.precision)
+        sim = (fit_y.sim_residuals, fit_u.sim_residuals)
+        pred = (fit_y.pred_residuals, fit_u.pred_residuals)
+        gains = coding.simo_information_gain(dataset, sim, opts.precision)
         crit = criteria.simo_criteria(
-            dataset,
-            simo,
-            n_params,
-            residual_source=opts.residual_source,
-            pred_residuals=(fit_y.pred_residuals, fit_u.pred_residuals),
-            naic_form=opts.naic_form,
+            sim if opts.residual_source == "sim" else pred, n_params, opts.naic_form
         )
         channel = {}
         for name, ig, rep in (("y", gains.y, crit.y), ("u", gains.u, crit.u)):
@@ -183,17 +188,16 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions) -
                 "naic_total": _num(crit.naic_total),
                 "bic_total": _num(crit.bic_total),
                 "mdl_total": crit.mdl_total,
-                "_naic_total": crit.naic_total,
-                "_bic_total": crit.bic_total,
             }
         )
+        scores["information_gain"].append(-gains.total_gain)
+        scores["naic"].append(crit.naic_total)
+        scores["bic"].append(crit.bic_total)
+        scores["mdl"].append(crit.mdl_total)
 
-    best, ties = _best_orders(rows)
-    for row in rows:
-        row.pop("_naic_total")
-        row.pop("_bic_total")
+    best, ties = _best_orders([row["order"] for row in rows], scores)
     order_for_gap = _nugap_model_order(best)
-    return {
+    report = {
         "label": dataset.label,
         "n_samples": len(dataset),
         "sample_time": dataset.sample_time,
@@ -202,8 +206,8 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions) -
         "ties": ties,
         "nugap_model_order": order_for_gap,
         "errors": errors,
-        "_gap_model": family.models.get(order_for_gap) if order_for_gap else None,
     }
+    return report, family.models.get(order_for_gap) if order_for_gap else None
 
 
 def discriminate_datasets(
@@ -216,18 +220,18 @@ def discriminate_datasets(
     omitted (with a note) when fewer than two are available.
     """
     dataset_reports: list = []
+    gap_entries: list = []
     errors: list = []
     for dataset in datasets:
         try:
-            dataset_reports.append(_score_dataset(dataset, opts))
+            report, gap_model = _score_dataset(dataset, opts)
         except Exception as exc:  # noqa: BLE001 - isolate per-dataset failure
             errors.append(f"dataset {dataset.label!r}: {exc}")
+            continue
+        dataset_reports.append(report)
+        if gap_model is not None:
+            gap_entries.append((report["label"], gap_model))
 
-    gap_entries = [
-        (rep["label"], rep["_gap_model"])
-        for rep in dataset_reports
-        if rep["_gap_model"] is not None
-    ]
     nugap_section = None
     nugap_note = ""
     if len(gap_entries) < 2:
@@ -250,9 +254,6 @@ def discriminate_datasets(
         except (UnitCirclePoleError, ValueError) as exc:
             nugap_note = f"nu-gap selection failed: {exc}"
             errors.append(nugap_note)
-
-    for rep in dataset_reports:
-        rep.pop("_gap_model", None)
 
     return {
         "config": {
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--nugap-grid", type=int, default=DEFAULT_GRID_SIZE)
     p_dis.add_argument("--strict-winding", action="store_true")
     p_dis.add_argument("--seed", type=int, default=0)
-    p_dis.add_argument("--residuals", choices=("sim", "pred"), default="sim")
+    p_dis.add_argument("--residuals", choices=RESIDUAL_SOURCES, default="sim")
     p_dis.set_defaults(func=cmd_discriminate)
 
     p_match = sub.add_parser("match", help="behavioral matching on one dataset")

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lti
-
 #: Number of fractional digits kept before a value is scaled to an integer.
 #: Scores are sensitive to it, so every pricing function takes it as an
 #: argument; the pipeline exposes it as ``discriminate --precision``.
@@ -110,19 +108,9 @@ def trivial_length(outputs, precision: int = DEFAULT_PRECISION) -> CodeLengthRep
     return CodeLengthReport(TRIVIAL_PROGRAM_LENGTH, table_length(outputs, precision))
 
 
-def model_length(
-    outputs, predictions, precision: int = DEFAULT_PRECISION
-) -> CodeLengthReport:
+def model_length(residuals, precision: int = DEFAULT_PRECISION) -> CodeLengthReport:
     """Price of a candidate model: fixed program plus its residual table."""
-    outputs = np.asarray(outputs, dtype=float)
-    predictions = np.asarray(predictions, dtype=float)
-    if outputs.shape != predictions.shape:
-        raise ValueError(
-            f"outputs and predictions must align, got {outputs.shape} vs {predictions.shape}"
-        )
-    return CodeLengthReport(
-        MODEL_PROGRAM_LENGTH, table_length(outputs - predictions, precision)
-    )
+    return CodeLengthReport(MODEL_PROGRAM_LENGTH, table_length(residuals, precision))
 
 
 def information_gain(
@@ -133,19 +121,18 @@ def information_gain(
 
 
 def simo_information_gain(
-    dataset, simo: lti.SimoModel, precision: int = DEFAULT_PRECISION
+    dataset, residuals, precision: int = DEFAULT_PRECISION
 ) -> SimoGainReport:
     """Score both channels of a SIMO model against one recorded dataset.
 
-    Each channel is simulated from the reference signal; the model's total
-    gain is the sum of the per-channel gains.
+    ``residuals`` is the model's ``(res_y, res_u)`` pair of simulation errors
+    on the dataset; the model's total gain is the sum of the per-channel gains.
     """
-    y_hat = lti.simulate(simo.tf_y, dataset.r)
-    u_hat = lti.simulate(simo.tf_u, dataset.r)
+    res_y, res_u = residuals
     ig_y = information_gain(
-        trivial_length(dataset.y, precision), model_length(dataset.y, y_hat, precision)
+        trivial_length(dataset.y, precision), model_length(res_y, precision)
     )
     ig_u = information_gain(
-        trivial_length(dataset.u, precision), model_length(dataset.u, u_hat, precision)
+        trivial_length(dataset.u, precision), model_length(res_u, precision)
     )
     return SimoGainReport(y=ig_y, u=ig_u)

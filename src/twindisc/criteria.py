@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lti
-
 NAIC_FORMS = ("normalized", "literal")
 
 
@@ -138,29 +136,14 @@ class SimoCriteriaReport:
 
 
 def simo_criteria(
-    dataset,
-    simo: lti.SimoModel,
-    n_params: int,
-    residual_source: str = "sim",
-    pred_residuals=None,
-    naic_form: str = "normalized",
+    residuals, n_params: int, naic_form: str = "normalized"
 ) -> SimoCriteriaReport:
-    """Score a SIMO model on a dataset, channel by channel (n_y = 1 each).
+    """Score a SIMO model from its ``(res_y, res_u)`` residual pair.
 
-    ``residual_source`` picks free-run simulation errors (computed here from
-    the deterministic channels) or one-step prediction errors, which the
-    caller must supply as a ``(res_y, res_u)`` pair because they depend on
-    the fitted noise model.
+    Each channel is scored on its own (n_y = 1); the pair may hold free-run
+    simulation errors or one-step prediction errors.
     """
-    if residual_source == "sim":
-        res_y = np.asarray(dataset.y, dtype=float) - lti.simulate(simo.tf_y, dataset.r)
-        res_u = np.asarray(dataset.u, dtype=float) - lti.simulate(simo.tf_u, dataset.r)
-    elif residual_source == "pred":
-        if pred_residuals is None:
-            raise ValueError("residual_source='pred' needs pred_residuals=(res_y, res_u)")
-        res_y, res_u = pred_residuals
-    else:
-        raise ValueError(f"residual_source must be 'sim' or 'pred', got {residual_source!r}")
+    res_y, res_u = residuals
     return SimoCriteriaReport(
         y=criteria_report(ResidualSummary(res_y, n_params), naic_form),
         u=criteria_report(ResidualSummary(res_u, n_params), naic_form),

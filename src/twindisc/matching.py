@@ -39,11 +39,7 @@ _FREE_NAMES = ("alpha", "k_cond", "c_heat")
 
 
 class MatchFailureError(RuntimeError):
-    """Every multistart diverged; carries whatever diagnostics were gathered."""
-
-    def __init__(self, message: str, diagnostics=None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
+    """Every multistart diverged."""
 
 
 @dataclass(frozen=True)
@@ -133,18 +129,10 @@ class MatchResult:
     sse: float
     iterations: int
     converged: bool
-    y_residuals: np.ndarray
-    u_residuals: np.ndarray
     at_bound: bool
     start_index: int
     start_costs: tuple
     cost_trace: tuple
-
-    def __post_init__(self):
-        for name in ("y_residuals", "u_residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def _simulate_candidate(problem: MatchProblem, candidate: PeltierParams):
@@ -249,14 +237,10 @@ def match_parameters(
         if best is None or cost < best[0]:
             best = (cost, idx, theta, iterations, reason, trace)
     if best is None:
-        raise MatchFailureError(
-            "every multistart diverged",
-            diagnostics={"start_costs": tuple(start_costs), "n_starts": len(starts)},
-        )
+        raise MatchFailureError("every multistart diverged")
 
     cost, idx, theta, iterations, reason, trace = best
     params = problem.params_from(theta)
-    sim = _simulate_candidate(problem, params)
     at_bound = bool(np.any(np.isclose(theta, lo, rtol=1e-12, atol=0.0))
                     or np.any(np.isclose(theta, hi, rtol=1e-12, atol=0.0)))
     return MatchResult(
@@ -264,8 +248,6 @@ def match_parameters(
         sse=cost,
         iterations=iterations,
         converged=reason in CONVERGED_REASONS and not at_bound,
-        y_residuals=problem.dataset.y - sim.y,
-        u_residuals=problem.dataset.u - sim.u,
         at_bound=at_bound,
         start_index=idx,
         start_costs=tuple(start_costs),

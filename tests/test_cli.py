@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 import scipy.signal
 
 from twindisc import cli
-from twindisc.twin import TimeSeriesDataset, write_csv
+from twindisc.twin import TimeSeriesDataset, read_csv, write_csv
 
 CONFIG = """\
 [simulation]
@@ -322,6 +323,19 @@ class TestDiscriminateCommand:
         assert code == 2
         assert "error: precision must be >= 0" in capsys.readouterr().err
 
+    def test_unknown_naic_form_or_residual_source_rejected_before_any_work(
+        self, campaign_files, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+        )
+        datasets = [read_csv(campaign_files[0])]
+        for field in ("naic_form", "residual_source"):
+            with pytest.raises(ValueError, match="bogus"):
+                cli.discriminate_datasets(
+                    datasets, cli.DiscriminateOptions(**{field: "bogus"})
+                )
+
     def test_bad_order_label_is_usage_error(self, tmp_path, campaign_files):
         code = cli.main(
             [
@@ -396,3 +410,54 @@ class TestMatchCommand:
         assert params.r_ohm == 3.3
         preset = cli._parse_initial("datasheet")
         assert preset.alpha == 0.053
+
+
+# SHA-256 of the report's JSON bytes followed by its CSV bytes on the campaign
+# of acceptance criterion c10.  They were recorded while scoring still
+# simulated every model again, so they hold that pricing each fit's own
+# residuals changes no byte of the report.
+REPORT_SHA256 = {
+    "sim": "0327888eafaff2415b48df4739c58c118e59ce3df087923ad0a5702128e0499e",
+    "pred": "173def800cc9a4f5172f91b09b31b1d28080954661241d03a4c5656038cd8231",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    (tmp_path / "sim.ini").write_text(
+        "[simulation]\nsetpoints = 35, 45\nduration_s = 150\n"
+        "[pid]\nkp = 8.0\nki = 0.0\n"
+        "[sensor]\nnoise_std_c = 0.05\n"
+    )
+    (tmp_path / "params.ini").write_text(
+        "[peltier]\nr_ohm = 3.3\nalpha_v_per_k = 0.05\n"
+        "k_w_per_k = 0.3\nc_j_per_k = 15.0\n"
+    )
+    data = tmp_path / "data"
+    assert cli.main(
+        [
+            "simulate",
+            "--config", str(tmp_path / "sim.ini"),
+            "--params", str(tmp_path / "params.ini"),
+            "--out-dir", str(data),
+            "--seed", "11",
+        ]
+    ) == 0
+    variants = {
+        "sim": ["--residuals", "sim"],
+        "pred": ["--residuals", "pred", "--naic-form", "literal", "--precision", "3"],
+    }
+    for name, flags in variants.items():
+        assert cli.main(
+            [
+                "discriminate",
+                str(data / "dataset_35.csv"),
+                str(data / "dataset_45.csv"),
+                "--out", str(tmp_path / name),
+                "--orders", "22221,33331",
+                "--seed", "11",
+                *flags,
+            ]
+        ) == 0
+        blob = (tmp_path / f"{name}.json").read_bytes()
+        blob += (tmp_path / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[name], name

@@ -13,8 +13,6 @@ from twindisc.criteria import (
     naic,
     simo_criteria,
 )
-from twindisc.lti import DiscreteTransferFunction, SimoModel, simulate
-from twindisc.twin import TimeSeriesDataset
 
 
 def rs(residuals, n_params=0):
@@ -159,47 +157,15 @@ class TestResidualSummary:
 
 
 class TestSimoCriteria:
-    def _dataset_and_model(self, n=120):
-        ts = 1.0
-        t = np.arange(n) * ts
-        r = np.ones(n)
-        tf_y = DiscreteTransferFunction([0.0, 0.4], [1.0, -0.5], ts)
-        simo = SimoModel(tf_y=tf_y, tf_u=tf_y, label="sym")
-        rng = np.random.default_rng(21)
-        y = simulate(tf_y, r) + 0.1 * rng.standard_normal(n)
-        return TimeSeriesDataset(t, r, y.copy(), y), simo
-
     def test_identical_channels_double_the_totals(self):
-        dataset, simo = self._dataset_and_model()
-        report = simo_criteria(dataset, simo, n_params=4)
+        res = 0.1 * np.random.default_rng(21).standard_normal(120)
+        report = simo_criteria((res, res.copy()), n_params=4)
         assert report.naic_total == pytest.approx(2 * report.y.naic)
         assert report.bic_total == pytest.approx(2 * report.y.bic)
         assert report.mdl_total == pytest.approx(2 * report.y.mdl)
 
     def test_perfect_model_sentinels(self):
-        n = 100
-        t = np.arange(n)
-        r = np.ones(n)
-        tf_y = DiscreteTransferFunction([0.0, 0.4], [1.0, -0.5], 1.0)
-        simo = SimoModel(tf_y=tf_y, tf_u=tf_y)
-        y = simulate(tf_y, r)
-        dataset = TimeSeriesDataset(t, r, y.copy(), y)
-        report = simo_criteria(dataset, simo, n_params=4)
+        report = simo_criteria((np.zeros(100), np.zeros(100)), n_params=4)
         assert report.y.zero_loss and report.u.zero_loss
         assert report.naic_total == -math.inf
         assert report.mdl_total == 0.0
-
-    def test_pred_source_requires_residuals(self):
-        dataset, simo = self._dataset_and_model()
-        with pytest.raises(ValueError):
-            simo_criteria(dataset, simo, n_params=4, residual_source="pred")
-        res = (np.ones(len(dataset)), np.ones(len(dataset)))
-        report = simo_criteria(
-            dataset, simo, n_params=4, residual_source="pred", pred_residuals=res
-        )
-        assert report.y.loss == 1.0
-
-    def test_unknown_source_rejected(self):
-        dataset, simo = self._dataset_and_model()
-        with pytest.raises(ValueError):
-            simo_criteria(dataset, simo, n_params=4, residual_source="bogus")

@@ -277,6 +277,25 @@ class TestIdentifyFamily:
         gain = frequency_response(tf, [0.0])[0]
         assert abs(gain - 1.0) < 1e-6
 
+    def test_sim_residuals_are_the_free_run_errors_bit_for_bit(self):
+        # scoring prices each fit's sim_residuals in place of simulating its
+        # model again, so they must equal the free-run errors to the last bit
+        rng = np.random.default_rng(31)
+        step = np.where(np.arange(500) >= 10, 1.0, 0.0)
+        truth = scipy.signal.lfilter([0.0, 0.3, -0.1], [1.0, -1.3, 0.42], step)
+        noisy = truth + 0.05 * rng.standard_normal(500)
+        dataset = TimeSeriesDataset(
+            np.arange(500.0), step, step.copy(), noisy, label="oracle"
+        )
+        family = identify_family(dataset, seed=0)
+        assert len(family.fits) == 8
+        channels = {"y": dataset.y, "u": dataset.u}
+        for (label, ch), fit in family.fits.items():
+            free_run = channels[ch] - simulate(fit.model.deterministic_tf, dataset.r)
+            assert np.array_equal(
+                fit.sim_residuals.view(np.uint64), free_run.view(np.uint64)
+            ), (label, ch)
+
     def test_prediction_residuals_whiter_than_simulation(self):
         rng = np.random.default_rng(5)
         u = step_input(600)
