@@ -14,14 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
 import numpy as np
 
 from . import coding, configio, criteria, matching, sysid, twin
-from .nugap import DEFAULT_GRID_SIZE, UnitCirclePoleError, select_nominal
+from .nugap import DEFAULT_GRID_SIZE, UnitCirclePoleError, argmin_cumulative, select_nominal
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -50,8 +50,14 @@ class DiscriminateOptions:
 
     def __post_init__(self):
         # checked here so that a bad value fails before any identification
+        for label in self.orders:
+            sysid.OrderSpec.from_label(label)
         if self.precision < 0:
             raise ValueError("precision must be >= 0")
+        if self.nugap_grid < 64:
+            raise ValueError("nugap_grid must be >= 64")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.naic_form not in criteria.NAIC_FORMS:
             raise ValueError(
                 f"naic form must be one of {criteria.NAIC_FORMS}, got {self.naic_form!r}"
@@ -119,13 +125,11 @@ def _best_orders(labels: list, scores: dict) -> tuple[dict, dict]:
     best: dict = {}
     ties: dict = {}
     for key, values in scores.items():
-        if not values:
-            best[key] = None
-            ties[key] = False
-            continue
-        winner = min(range(len(values)), key=values.__getitem__)
-        best[key] = labels[winner]
-        ties[key] = sum(1 for v in values if v == values[winner]) > 1
+        if values:
+            winner, ties[key] = argmin_cumulative(values)
+            best[key] = labels[winner]
+        else:
+            best[key], ties[key] = None, False
     return best, ties
 
 
@@ -256,15 +260,7 @@ def discriminate_datasets(
             errors.append(nugap_note)
 
     return {
-        "config": {
-            "orders": list(opts.orders),
-            "precision": opts.precision,
-            "naic_form": opts.naic_form,
-            "nugap_grid": opts.nugap_grid,
-            "strict_winding": opts.strict_winding,
-            "seed": opts.seed,
-            "residual_source": opts.residual_source,
-        },
+        "config": {**asdict(opts), "orders": list(opts.orders)},
         "datasets": dataset_reports,
         "nugap": nugap_section,
         "nugap_note": nugap_note,
@@ -356,8 +352,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
+    try:
+        opts = DiscriminateOptions(
+            orders=tuple(args.orders.split(",")),
+            precision=args.precision,
+            naic_form=args.naic_form,
+            nugap_grid=args.nugap_grid,
+            strict_winding=args.strict_winding,
+            seed=args.seed,
+            residual_source=args.residuals,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not _out_dir_exists(args.out):
         return EXIT_USAGE
@@ -371,24 +377,6 @@ def cmd_discriminate(args) -> int:
     if not datasets:
         for msg in load_errors:
             print(f"error: {msg}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        opts = DiscriminateOptions(
-            orders=tuple(args.orders.split(",")),
-            precision=args.precision,
-            naic_form=args.naic_form,
-            nugap_grid=args.nugap_grid,
-            strict_winding=args.strict_winding,
-            seed=args.seed,
-            residual_source=args.residuals,
-        )
-        for label in opts.orders:
-            sysid.OrderSpec.from_label(label)
-        if opts.nugap_grid < 64:
-            raise ValueError("--nugap-grid must be >= 64")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     report = discriminate_datasets(datasets, opts)

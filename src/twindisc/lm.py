@@ -36,9 +36,9 @@ def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, b
     last two in an iteration that also met a candidate ``residual``
     disallowed; and ``"iteration_cap"`` after ``max_iter`` iterations.
 
-    Returns ``(theta, cost, iterations, reason, cost_trace)``, the trace
-    holding the start's cost and each accepted one, or None when ``theta0``
-    is not allowed.
+    Returns ``(theta, cost, iterations, reason, cost_trace, r)``, the trace
+    holding the start's cost and each accepted one and ``r`` being
+    ``residual(theta)``, or None when ``theta0`` is not allowed.
     """
     theta = np.asarray(theta0, dtype=float)
     if bounds is None:
@@ -101,4 +101,21 @@ def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, b
         if rel_drop < tol:
             reason = "barrier" if disallowed else "rel_drop"
             break
-    return theta, cost, iterations, reason, trace
+    return theta, cost, iterations, reason, trace, r
+
+
+def multistart(residual, jacobian, starts, max_iter: int, tol: float, bounds=None):
+    """Run :func:`levenberg_marquardt` from each start in order; the lowest cost wins.
+
+    A start ``residual`` rejects has no outcome and never wins; ties go to
+    the lowest index.  Returns ``(winner, outcomes)``, with None in
+    ``outcomes`` for each rejected start, or None when every start is.
+    """
+    outcomes = [
+        levenberg_marquardt(residual, jacobian, start, max_iter, tol, bounds)
+        for start in starts
+    ]
+    allowed = [i for i, outcome in enumerate(outcomes) if outcome is not None]
+    if not allowed:
+        return None
+    return min(allowed, key=lambda i: outcomes[i][1]), outcomes

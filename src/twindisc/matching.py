@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lm import CONVERGED_REASONS, levenberg_marquardt
+from .lm import CONVERGED_REASONS, multistart
 from .twin import (
     PeltierParams,
     SensorConfig,
@@ -79,7 +79,6 @@ class MatchProblem:
     dataset: TimeSeriesDataset
     initial: PeltierParams
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
-    fixed_r: float = MEASURED_RESISTANCE
     weights: tuple = (1.0, 1.0)
     sim_config: SimConfig | None = None
 
@@ -89,8 +88,6 @@ class MatchProblem:
         w_y, w_u = self.weights
         if w_y < 0.0 or w_u < 0.0 or (w_y == 0.0 and w_u == 0.0):
             raise ValueError("weights must be nonnegative and not both zero")
-        if self.fixed_r <= 0.0:
-            raise ValueError("fixed_r must be > 0")
         ts = self.dataset.sample_time
         if self.sim_config is None:
             object.__setattr__(
@@ -111,7 +108,7 @@ class MatchProblem:
     def params_from(self, theta) -> PeltierParams:
         alpha, k_cond, c_heat = (float(v) for v in theta)
         return PeltierParams(
-            alpha=alpha, r_ohm=self.fixed_r, k_cond=k_cond, c_heat=c_heat
+            alpha=alpha, r_ohm=MEASURED_RESISTANCE, k_cond=k_cond, c_heat=c_heat
         )
 
 
@@ -213,7 +210,7 @@ def match_parameters(
     Runs the deterministic multistart set (initial guess, the three guess
     presets, and two preset midpoints, deduplicated after clipping), keeps
     the lowest final cost, and breaks ties toward the lowest start index.
-    The resistance never varies and is reported as ``problem.fixed_r``.
+    The resistance never varies and is reported as ``MEASURED_RESISTANCE``.
     """
     def residual(theta):
         return _residual_vector(problem, problem.params_from(theta))
@@ -222,24 +219,13 @@ def match_parameters(
         return _fd_jacobian(problem, theta, r)
 
     lo, hi = problem.bounds.arrays()
-    starts = _starts(problem, opts)
-    best = None
-    start_costs = []
-    for idx, start in enumerate(starts):
-        outcome = levenberg_marquardt(
-            residual, jacobian, start, opts.max_iter, TOL, bounds=(lo, hi)
-        )
-        if outcome is None:
-            start_costs.append(math.inf)
-            continue
-        theta, cost, iterations, reason, trace = outcome
-        start_costs.append(cost)
-        if best is None or cost < best[0]:
-            best = (cost, idx, theta, iterations, reason, trace)
-    if best is None:
+    search = multistart(
+        residual, jacobian, _starts(problem, opts), opts.max_iter, TOL, bounds=(lo, hi)
+    )
+    if search is None:
         raise MatchFailureError("every multistart diverged")
-
-    cost, idx, theta, iterations, reason, trace = best
+    idx, outcomes = search
+    theta, cost, iterations, reason, trace, _ = outcomes[idx]
     params = problem.params_from(theta)
     at_bound = bool(np.any(np.isclose(theta, lo, rtol=1e-12, atol=0.0))
                     or np.any(np.isclose(theta, hi, rtol=1e-12, atol=0.0)))
@@ -250,6 +236,6 @@ def match_parameters(
         converged=reason in CONVERGED_REASONS and not at_bound,
         at_bound=at_bound,
         start_index=idx,
-        start_costs=tuple(start_costs),
+        start_costs=tuple(math.inf if o is None else o[1] for o in outcomes),
         cost_trace=tuple(trace),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.signal
 
-from .lm import CONVERGED_REASONS, levenberg_marquardt
+from .lm import CONVERGED_REASONS, multistart
 from .lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
 
 DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
@@ -150,17 +150,12 @@ def _project_stable(monic: np.ndarray, radius: float = 1.0 - _STABILITY_MARGIN) 
     return out
 
 
-def _simulate_bf(theta: np.ndarray, u: np.ndarray, nk: int, nb: int) -> np.ndarray:
-    b = np.concatenate([np.zeros(nk), theta[:nb]])
-    f = np.concatenate([[1.0], theta[nb:]])
-    return scipy.signal.lfilter(b, f, u)
-
-
 def _oe_residual(theta: np.ndarray, u: np.ndarray, y: np.ndarray, nk: int, nb: int):
     """Simulation residual, or None when F is unstable / the run blew up."""
-    if not _is_stable(np.concatenate([[1.0], theta[nb:]])):
+    f = np.concatenate([[1.0], theta[nb:]])
+    if not _is_stable(f):
         return None
-    r = y - _simulate_bf(theta, u, nk, nb)
+    r = y - scipy.signal.lfilter(np.concatenate([np.zeros(nk), theta[:nb]]), f, u)
     if not np.all(np.isfinite(r)):
         return None
     return r
@@ -238,20 +233,13 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     def jacobian(theta, r):
         return _oe_jacobian(theta, y - r, u, order.nk, order.nb)
 
-    best = None
-    for idx, start in enumerate(starts):
-        outcome = levenberg_marquardt(residual, jacobian, start, MAX_ITER, TOL)
-        if outcome is None:
-            continue
-        theta, cost, iterations, reason, _ = outcome
-        if best is None or cost < best[0]:
-            best = (cost, idx, theta, iterations, reason)
-    if best is None:
+    search = multistart(residual, jacobian, starts, MAX_ITER, TOL)
+    if search is None:
         raise FitFailureError(
             f"no stable iterate found for order {order.label} on {y.size} samples"
         )
-
-    cost, _, theta, iterations, reason = best
+    winner, outcomes = search
+    theta, cost, iterations, reason, _, residuals = outcomes[winner]
     model = BoxJenkinsModel(
         b=DiscretePolynomial(np.concatenate([np.zeros(order.nk), theta[: order.nb]])),
         c=DiscretePolynomial([1.0]),
@@ -260,7 +248,6 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
         delay=order.nk,
         sample_time=1.0,
     )
-    residuals = y - _simulate_bf(theta, u, order.nk, order.nb)
     return FitResult(
         model=model,
         sim_residuals=residuals,
@@ -278,14 +265,14 @@ def fit_noise_model(residuals, nc: int, nd: int):
     innovations, then one linear least-squares pass gives the C and D
     coefficients.  Both polynomials are radially projected inside the unit
     circle when needed (C as well, so the one-step predictor stays
-    invertible).  Zero-variance residuals yield the identity model.
+    invertible).  Zero-variance residuals yield the identity model, with
+    nc + 1 and nd + 1 taps so that it keeps the requested structure.
     """
     if nc < 1 or nd < 1:
         raise ValueError("nc and nd must be >= 1")
     v = np.asarray(residuals, dtype=float).ravel()
-    identity = (DiscretePolynomial([1.0]), DiscretePolynomial([1.0]))
     if v.size == 0 or float(np.max(np.abs(v))) < 1e-300:
-        return identity
+        return DiscretePolynomial([1.0] + [0.0] * nc), DiscretePolynomial([1.0] + [0.0] * nd)
     if v.size < 10 * (nc + nd):
         raise ValueError(
             f"need at least {10 * (nc + nd)} residuals for nc={nc}, nd={nd}, got {v.size}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from twindisc import cli
+from twindisc import cli, criteria
 from twindisc.twin import TimeSeriesDataset, read_csv, write_csv
 
 CONFIG = """\
@@ -300,7 +300,7 @@ class TestDiscriminateCommand:
             ["discriminate", *campaign_files, "--out", str(out), "--seed", "-1"]
         )
         assert code == 2
-        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert "error: seed must be >= 0" in capsys.readouterr().err
         assert not os.path.exists(f"{out}.json")
 
     def test_missing_out_dir_is_usage_error_before_any_work(
@@ -335,6 +335,36 @@ class TestDiscriminateCommand:
                 cli.discriminate_datasets(
                     datasets, cli.DiscriminateOptions(**{field: "bogus"})
                 )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "seed must be >= 0"),
+            ("orders", ("2222x",), "order label must be 5 digits"),
+            ("nugap_grid", 10, "nugap_grid must be >= 64"),
+        ],
+        ids=["seed", "orders", "nugap_grid"],
+    )
+    def test_bad_option_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            cli.DiscriminateOptions(**{field: value})
+
+    def test_exactly_fitted_channel_keeps_its_parameter_count(self):
+        # a square-wave reference lets the y fit reach exactly zero residuals
+        n = 160
+        t = np.arange(n, dtype=float)
+        r = np.where((t // 20) % 2 == 0, 1.0, 0.0)
+        y = scipy.signal.lfilter([0.0, 0.4, -0.3], [1.0, -1.1, 0.3], r)
+        u = y + 0.05 * np.random.default_rng(0).standard_normal(n)
+        report = cli.discriminate_datasets(
+            [TimeSeriesDataset(t, r, u, y, label="exact")],
+            cli.DiscriminateOptions(orders=("22221",)),
+        )
+        row = report["datasets"][0]["orders"][0]
+        assert row["y"]["zero_loss"]
+        # nb + nc + nd + nf, for the u channel's penalties as well
+        assert row["n_params"] == 8
+        assert row["u"]["bic"] == criteria.bic_value(row["u"]["loss"], 8, n)
 
     def test_bad_order_label_is_usage_error(self, tmp_path, campaign_files):
         code = cli.main(
@@ -421,8 +451,13 @@ REPORT_SHA256 = {
     "pred": "173def800cc9a4f5172f91b09b31b1d28080954661241d03a4c5656038cd8231",
 }
 
+# SHA-256 of the ``match dataset_45.csv --initial datasheet`` JSON on the same
+# campaign, recorded while each caller still ran its own loop over the starts.
+MATCH_SHA256 = "b41af2b0352ae514fba2410b21a24c5629e1a29850e1f238c424117e10b29217"
 
-def test_report_bytes_are_pinned(tmp_path):
+
+@pytest.fixture()
+def c10_campaign(tmp_path):
     (tmp_path / "sim.ini").write_text(
         "[simulation]\nsetpoints = 35, 45\nduration_s = 150\n"
         "[pid]\nkp = 8.0\nki = 0.0\n"
@@ -442,6 +477,11 @@ def test_report_bytes_are_pinned(tmp_path):
             "--seed", "11",
         ]
     ) == 0
+    return data
+
+
+def test_report_bytes_are_pinned(tmp_path, c10_campaign):
+    data = c10_campaign
     variants = {
         "sim": ["--residuals", "sim"],
         "pred": ["--residuals", "pred", "--naic-form", "literal", "--precision", "3"],
@@ -461,3 +501,12 @@ def test_report_bytes_are_pinned(tmp_path):
         blob = (tmp_path / f"{name}.json").read_bytes()
         blob += (tmp_path / f"{name}.csv").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[name], name
+
+
+def test_match_bytes_are_pinned(tmp_path, c10_campaign):
+    out = tmp_path / "match.json"
+    assert cli.main(
+        ["match", str(c10_campaign / "dataset_45.csv"), "--initial", "datasheet",
+         "--out", str(out)]
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MATCH_SHA256

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twindisc.lm import CONVERGED_REASONS, levenberg_marquardt
+from twindisc.lm import CONVERGED_REASONS, levenberg_marquardt, multistart
 
 
 def linear_problem(seed=0, rows=40, cols=4):
@@ -14,7 +14,7 @@ def linear_problem(seed=0, rows=40, cols=4):
 class TestLevenbergMarquardt:
     def test_linear_problem_reaches_least_squares_solution(self):
         a, b = linear_problem()
-        theta, cost, iterations, reason, trace = levenberg_marquardt(
+        theta, cost, iterations, reason, trace, _ = levenberg_marquardt(
             lambda th: a @ th - b, lambda th, r: a, np.zeros(4), max_iter=100, tol=1e-12
         )
         expected, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -38,7 +38,7 @@ class TestLevenbergMarquardt:
             seen.append(th.copy())
             return a @ th - b
 
-        theta, _, _, _, _ = levenberg_marquardt(
+        theta, _, _, _, _, _ = levenberg_marquardt(
             residual,
             lambda th, r: a,
             np.full(4, 5.0),
@@ -62,7 +62,7 @@ class TestLevenbergMarquardt:
         # solves least squares on the other columns
         rest, *_ = np.linalg.lstsq(a[:, 1:], b - a[:, 0] * hi[0], rcond=None)
         expected = np.concatenate([[hi[0]], rest])
-        theta, cost, iterations, reason, _ = levenberg_marquardt(
+        theta, cost, iterations, reason, _, _ = levenberg_marquardt(
             lambda th: a @ th - b, lambda th, r: a, np.full(4, 5.0),
             max_iter=200, tol=1e-12, bounds=(lo, hi),
         )
@@ -86,10 +86,11 @@ class TestLevenbergMarquardt:
         np.testing.assert_array_equal(boxed[0], free[0])
         assert boxed[1:4] == free[1:4]
         np.testing.assert_array_equal(boxed[4], free[4])
+        np.testing.assert_array_equal(boxed[5], free[5])
 
     def test_iteration_cap_is_reported(self):
         a, b = linear_problem()
-        _, _, iterations, reason, trace = levenberg_marquardt(
+        _, _, iterations, reason, trace, _ = levenberg_marquardt(
             lambda th: a @ th - b, lambda th, r: a, np.zeros(4), max_iter=1, tol=1e-12
         )
         assert (iterations, reason, len(trace)) == (1, "iteration_cap", 2)
@@ -121,7 +122,7 @@ class TestLevenbergMarquardt:
             accepted.append(th.copy())
             return np.eye(2)
 
-        theta, cost, _, reason, trace = levenberg_marquardt(
+        theta, cost, _, reason, trace, _ = levenberg_marquardt(
             residual, jacobian, np.array([-2.0, -3.0]), max_iter=200, tol=1e-12
         )
         assert len(accepted) > 1
@@ -136,10 +137,65 @@ class TestLevenbergMarquardt:
         assert trace[-1] == cost
 
     def test_zero_residual_start_converges_without_steps(self):
-        theta, cost, iterations, reason, trace = levenberg_marquardt(
+        theta, cost, iterations, reason, trace, _ = levenberg_marquardt(
             lambda th: th - 1.0, lambda th, r: np.eye(3), np.ones(3), max_iter=10, tol=1e-10
         )
         assert cost == 0.0 and reason == "zero_cost"
         assert iterations == 1
         assert trace == [0.0]
         np.testing.assert_array_equal(theta, np.ones(3))
+
+
+class TestMultistart:
+    @staticmethod
+    def _well(th):
+        # two mirror-image minima at theta = +-2 with the same cost bits
+        return np.array([th[0] ** 2 - 4.0, 1.0])
+
+    @staticmethod
+    def _well_jac(th, r):
+        return np.array([[2.0 * th[0]], [0.0]])
+
+    def test_tie_goes_to_lowest_index(self):
+        for first in (-3.0, 3.0):
+            winner, outcomes = multistart(
+                self._well, self._well_jac, [[first], [-first]], max_iter=50, tol=1e-12
+            )
+            assert outcomes[0][1] == outcomes[1][1]
+            assert winner == 0
+            assert np.sign(outcomes[winner][0][0]) == np.sign(first)
+
+    def test_rejected_start_never_wins(self):
+        def residual(th):
+            # the allowed start's cost overflows to inf and still wins
+            return None if th[0] > 10.0 else np.array([1e200])
+
+        with np.errstate(over="ignore"):
+            winner, outcomes = multistart(
+                residual, lambda th, r: np.eye(1), [[20.0], [1.0]], max_iter=0, tol=1e-12
+            )
+        assert outcomes[0] is None
+        assert outcomes[1][1] == np.inf
+        assert winner == 1
+
+    def test_every_start_rejected_returns_none(self):
+        assert multistart(
+            lambda th: None, lambda th, r: np.eye(2), [np.zeros(2), np.ones(2)],
+            max_iter=10, tol=1e-10,
+        ) is None
+
+    def test_returned_residual_is_the_winners(self):
+        a, b = linear_problem(seed=3)
+
+        def residual(th):
+            return a @ th - b
+
+        bounds = (np.full(4, -0.2), np.full(4, 0.2))
+        starts = [np.full(4, 5.0), np.zeros(4), np.full(4, -1.0)]
+        winner, outcomes = multistart(
+            residual, lambda th, r: a, starts, max_iter=100, tol=1e-12, bounds=bounds
+        )
+        theta, cost, _, _, _, r = outcomes[winner]
+        np.testing.assert_array_equal(r, residual(theta))
+        assert cost == float(r @ r)
+        assert all(cost <= outcome[1] for outcome in outcomes)

@@ -4,6 +4,7 @@ import pytest
 from twindisc import matching
 from twindisc.matching import (
     INITIAL_GUESS_PRESETS,
+    MEASURED_RESISTANCE,
     MatchOptions,
     MatchProblem,
     ParameterBounds,
@@ -100,7 +101,7 @@ class TestMatchParameters:
     def test_r_reported_exactly(self):
         problem = make_problem()
         result = match_parameters(problem, MatchOptions(multistart=False, max_iter=3))
-        assert result.params.r_ohm == problem.fixed_r
+        assert result.params.r_ohm == MEASURED_RESISTANCE
 
     def test_monotone_descent(self):
         problem = make_problem()

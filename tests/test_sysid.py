@@ -209,8 +209,8 @@ class TestFitNoiseModel:
 
     def test_zero_residuals_identity(self):
         c, d = fit_noise_model(np.zeros(100), nc=2, nd=2)
-        assert c.coeffs == (1.0,)
-        assert d.coeffs == (1.0,)
+        assert c.coeffs == (1.0, 0.0, 0.0)
+        assert d.coeffs == (1.0, 0.0, 0.0)
 
     def test_ar1_pole_recovered(self):
         rng = np.random.default_rng(21)
