@@ -74,10 +74,8 @@ from .sysid import (
 from .matching import (
     INITIAL_GUESS_PRESETS,
     MatchFailureError,
-    MatchOptions,
     MatchProblem,
     MatchResult,
-    ParameterBounds,
     match_parameters,
     sse_cost,
 )

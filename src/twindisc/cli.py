@@ -320,7 +320,11 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out-dir: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         datasets = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
     except twin.SimulationDivergedError as exc:
@@ -434,6 +438,11 @@ def cmd_match(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if not args.config:
+        pid = problem.sim_config.pid
+        print(f"note: no --config given, so the twin runs the default PID gains kp={pid.kp:g} "
+              f"ki={pid.ki:g} kd={pid.kd:g}; pass --config if other gains recorded the data",
+              file=sys.stderr)
     try:
         result = matching.match_parameters(problem)
     except matching.MatchFailureError as exc:

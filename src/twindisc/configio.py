@@ -39,6 +39,28 @@ def _get(parser, section, key, cast, default):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
 
+# INI key -> dataclass field, per section; an absent key keeps the field's default
+_SIM_KEYS = {
+    "ambient_c": "ambient",
+    "duration_s": "duration",
+    "sample_time_s": "sample_time",
+    "ode_substeps": "ode_substeps",
+    "supply_voltage_v": "supply_voltage",
+    "heatsink_w_per_k": "heatsink_conductance",
+    "surface_w_per_k": "surface_conductance",
+}
+_PID_KEYS = {key: key for key in ("kp", "ki", "kd", "out_min", "out_max", "anti_windup")}
+_SENSOR_KEYS = {"quantization_c": "quantization", "noise_std_c": "noise_std"}
+
+
+def _fields(parser, section, cls, keys) -> dict:
+    """Field values of ``cls`` read from ``section``, each cast like its default."""
+    return {
+        name: _get(parser, section, key, type(getattr(cls, name)), getattr(cls, name))
+        for key, name in keys.items()
+    }
+
+
 def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
     """Load a simulation config; returns (base config, configured setpoints).
 
@@ -51,29 +73,11 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
         setpoints = tuple(float(tok) for tok in raw.replace(",", " ").split())
         if not setpoints:
             raise ConfigError(f"{path}: [simulation] setpoints must be non-empty")
-        pid = PidConfig(
-            kp=_get(parser, "pid", "kp", float, PidConfig.kp),
-            ki=_get(parser, "pid", "ki", float, PidConfig.ki),
-            kd=_get(parser, "pid", "kd", float, PidConfig.kd),
-            out_min=_get(parser, "pid", "out_min", float, PidConfig.out_min),
-            out_max=_get(parser, "pid", "out_max", float, PidConfig.out_max),
-            anti_windup=_get(parser, "pid", "anti_windup", str, PidConfig.anti_windup),
-        )
-        sensor = SensorConfig(
-            quantization=_get(parser, "sensor", "quantization_c", float, 0.0),
-            noise_std=_get(parser, "sensor", "noise_std_c", float, 0.0),
-        )
         cfg = SimConfig(
             setpoint=setpoints[0],
-            ambient=_get(parser, "simulation", "ambient_c", float, 25.0),
-            duration=_get(parser, "simulation", "duration_s", float, 600.0),
-            sample_time=_get(parser, "simulation", "sample_time_s", float, 1.0),
-            ode_substeps=_get(parser, "simulation", "ode_substeps", int, 10),
-            pid=pid,
-            supply_voltage=_get(parser, "simulation", "supply_voltage_v", float, 12.0),
-            heatsink_conductance=_get(parser, "simulation", "heatsink_w_per_k", float, 1.5),
-            surface_conductance=_get(parser, "simulation", "surface_w_per_k", float, 0.05),
-            sensor=sensor,
+            pid=PidConfig(**_fields(parser, "pid", PidConfig, _PID_KEYS)),
+            sensor=SensorConfig(**_fields(parser, "sensor", SensorConfig, _SENSOR_KEYS)),
+            **_fields(parser, "simulation", SimConfig, _SIM_KEYS),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

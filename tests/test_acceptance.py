@@ -18,7 +18,7 @@ from twindisc import cli
 from twindisc.coding import CodeLengthReport, code_length, encode_number, information_gain
 from twindisc.criteria import ResidualSummary, bic, mdl, naic
 from twindisc.lti import DiscreteTransferFunction, SimoModel
-from twindisc.matching import INITIAL_GUESS_PRESETS, MatchOptions, MatchProblem, match_parameters
+from twindisc.matching import INITIAL_GUESS_PRESETS, MatchProblem, match_parameters
 from twindisc.nugap import argmin_cumulative, nugap, select_nominal
 from twindisc.sysid import OrderSpec, fit_output_error, identify_family
 from twindisc.twin import (
@@ -159,7 +159,7 @@ def test_c06_behavioral_matching_round_trip():
             initial=INITIAL_GUESS_PRESETS["datasheet"],
             sim_config=cfg,
         )
-        result = match_parameters(problem, MatchOptions())
+        result = match_parameters(problem)
         assert result.params.alpha == pytest.approx(TRUTH_70.alpha, rel=0.02)
         assert result.params.k_cond == pytest.approx(TRUTH_70.k_cond, rel=0.02)
         assert result.params.c_heat == pytest.approx(TRUTH_70.c_heat, rel=0.02)

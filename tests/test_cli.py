@@ -133,6 +133,27 @@ class TestSimulateCommand:
         assert "error: --seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_dir_naming_a_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(CONFIG)
+        params = tmp_path / "params.ini"
+        params.write_text(PARAMS)
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setattr(
+            cli.twin, "generate_campaign", lambda *a, **k: pytest.fail("simulated")
+        )
+        code = cli.main(
+            [
+                "simulate",
+                "--config", str(cfg),
+                "--params", str(params),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "error: --out-dir" in capsys.readouterr().err
+
 
 class TestDiscriminateCommand:
     def test_report_structure_and_consistency(self, tmp_path, campaign_files):
@@ -407,12 +428,30 @@ class TestMatchCommand:
         for preset in ("datasheet", "experience", "measurement"):
             assert preset in err
 
-    def test_out_of_bounds_explicit_guess_rejected(self, tmp_path):
+    def test_out_of_bounds_explicit_guess_rejected(self, tmp_path, capsys):
         path = self._dataset(tmp_path)
         code = cli.main(
             ["match", path, "--initial", "0.9,0.3,10.0", "--out", str(tmp_path / "m.json")]
         )
         assert code == 2
+        assert (
+            "error: initial guess must lie within the box alpha in [0.005, 0.2] V/K, "
+            "K in [0.05, 1] W/K, C in [2, 80] J/K"
+        ) in capsys.readouterr().err
+
+    def test_default_controller_note_only_without_config(self, tmp_path, capsys):
+        path = self._dataset(tmp_path)
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[simulation]\nsetpoints = 70\nduration_s = 120\n")
+        out = str(tmp_path / "m.json")
+        assert cli.main(["match", path, "--initial", "datasheet", "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "kp=2 ki=0.06 kd=0" in err
+        assert "--config" in err
+        assert cli.main(
+            ["match", path, "--initial", "datasheet", "--config", str(cfg), "--out", out]
+        ) == 0
+        assert capsys.readouterr().err == ""
 
     def test_nan_dataset_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
@@ -454,6 +493,11 @@ REPORT_SHA256 = {
 # SHA-256 of the ``match dataset_45.csv --initial datasheet`` JSON on the same
 # campaign, recorded while each caller still ran its own loop over the starts.
 MATCH_SHA256 = "b41af2b0352ae514fba2410b21a24c5629e1a29850e1f238c424117e10b29217"
+
+# SHA-256 of ``match dataset_35.csv --initial measurement --channels y --config
+# sim.ini`` on the same campaign, recorded while the box and the iteration cap
+# were still settable options.
+MATCH_Y_CONFIG_SHA256 = "12d17d638a924138a2b3b0342d6a29c8b4677aee379c8059a4e96dd3bfc20ed5"
 
 
 @pytest.fixture()
@@ -510,3 +554,12 @@ def test_match_bytes_are_pinned(tmp_path, c10_campaign):
          "--out", str(out)]
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MATCH_SHA256
+
+
+def test_match_y_channel_with_config_bytes_are_pinned(tmp_path, c10_campaign):
+    out = tmp_path / "match.json"
+    assert cli.main(
+        ["match", str(c10_campaign / "dataset_35.csv"), "--initial", "measurement",
+         "--channels", "y", "--config", str(tmp_path / "sim.ini"), "--out", str(out)]
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MATCH_Y_CONFIG_SHA256

@@ -6,6 +6,7 @@ from twindisc.configio import (
     load_sim_config,
     params_for_setpoint,
 )
+from twindisc.twin import PidConfig, SensorConfig, SimConfig
 
 GOOD_SIM = """\
 [simulation]
@@ -58,6 +59,18 @@ class TestSimConfigFile:
         assert cfg.pid.kp == 3.5
         assert cfg.pid.out_max == 200.0
         assert cfg.sensor.quantization == 0.25
+        assert cfg == SimConfig(
+            setpoint=30.0,
+            ambient=22.0,
+            duration=300.0,
+            sample_time=0.5,
+            ode_substeps=4,
+            pid=PidConfig(kp=3.5, ki=0.1, kd=0.2, out_min=0.0, out_max=200.0),
+            supply_voltage=10.0,
+            heatsink_conductance=2.0,
+            surface_conductance=0.1,
+            sensor=SensorConfig(quantization=0.25, noise_std=0.1),
+        )
 
     def test_defaults_fill_missing_sections(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -66,6 +79,12 @@ class TestSimConfigFile:
         assert setpoints == (40.0,)
         assert cfg.duration == 600.0
         assert cfg.pid.kp == 2.0
+
+    def test_setpoints_alone_load_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "sim.ini"
+        path.write_text("[simulation]\nsetpoints = 40\n")
+        cfg, _ = load_sim_config(path)
+        assert cfg == SimConfig(setpoint=40.0)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.ini"

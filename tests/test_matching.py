@@ -4,10 +4,10 @@ import pytest
 from twindisc import matching
 from twindisc.matching import (
     INITIAL_GUESS_PRESETS,
+    LOWER,
     MEASURED_RESISTANCE,
-    MatchOptions,
+    UPPER,
     MatchProblem,
-    ParameterBounds,
     match_parameters,
     sse_cost,
 )
@@ -16,9 +16,9 @@ from twindisc.twin import PeltierParams, SensorConfig, SimConfig, simulate_close
 TRUTH_70 = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=0.286, c_heat=11.1)
 
 
-def make_problem(duration=300.0, initial=None, **kw):
+def make_problem(duration=300.0, initial=None, truth=TRUTH_70, **kw):
     cfg = SimConfig(setpoint=70.0, duration=duration, sensor=SensorConfig())
-    dataset = simulate_closed_loop(TRUTH_70, cfg)
+    dataset = simulate_closed_loop(truth, cfg)
     return MatchProblem(
         dataset=dataset,
         initial=initial or INITIAL_GUESS_PRESETS["datasheet"],
@@ -50,9 +50,8 @@ class TestSseCost:
     def test_nonnegative_everywhere(self):
         problem = make_problem()
         rng = np.random.default_rng(13)
-        lo, hi = problem.bounds.arrays()
         for _ in range(5):
-            theta = rng.uniform(lo, hi)
+            theta = rng.uniform(LOWER, UPPER)
             assert sse_cost(problem, problem.params_from(theta)) >= 0.0
 
     def test_alpha_perturbation_costs(self):
@@ -83,52 +82,49 @@ class TestSseCost:
 
 class TestMatchParameters:
     def test_started_at_truth_converges_immediately(self):
-        problem = make_problem(initial=TRUTH_70)
-        result = match_parameters(problem, MatchOptions(multistart=False))
+        problem = make_problem(duration=60.0, initial=TRUTH_70)
+        result = match_parameters(problem)
+        assert result.start_index == 0
         assert result.iterations <= 2
         assert result.sse <= 1e-9
         assert result.converged
 
     def test_round_trip_from_datasheet(self):
-        # the single-start path can stall on a compensating alpha/K ridge;
+        # a single start can stall on a compensating alpha/K ridge;
         # the deterministic multistart set is part of the contract
-        problem = make_problem(duration=300.0)
-        result = match_parameters(problem, MatchOptions(max_iter=40))
+        problem = make_problem(duration=60.0)
+        result = match_parameters(problem)
         assert result.params.alpha == pytest.approx(TRUTH_70.alpha, rel=0.02)
         assert result.params.k_cond == pytest.approx(TRUTH_70.k_cond, rel=0.02)
         assert result.params.c_heat == pytest.approx(TRUTH_70.c_heat, rel=0.02)
 
     def test_r_reported_exactly(self):
-        problem = make_problem()
-        result = match_parameters(problem, MatchOptions(multistart=False, max_iter=3))
+        problem = make_problem(duration=60.0)
+        result = match_parameters(problem)
         assert result.params.r_ohm == MEASURED_RESISTANCE
 
     def test_monotone_descent(self):
-        problem = make_problem()
-        result = match_parameters(problem, MatchOptions(multistart=False, max_iter=10))
+        problem = make_problem(duration=60.0)
+        result = match_parameters(problem)
         trace = np.asarray(result.cost_trace)
         assert np.all(np.diff(trace) <= 0.0)
 
     def test_deterministic(self):
-        problem = make_problem()
-        opts = MatchOptions(multistart=False, max_iter=8)
-        a = match_parameters(problem, opts)
-        b = match_parameters(problem, opts)
+        problem = make_problem(duration=60.0)
+        a = match_parameters(problem)
+        b = match_parameters(problem)
         assert a.params == b.params
         assert a.sse == b.sse
 
     def test_bounds_excluding_truth_hit_the_boundary(self):
-        # fence K and C near truth and cap alpha below its true value: the
-        # search must end on the alpha bound nearest the excluded optimum
-        bounds = ParameterBounds(
-            alpha=(0.005, 0.015), k_cond=(0.28, 0.29), c_heat=(11.0, 11.2)
-        )
-        initial = PeltierParams(alpha=0.01, r_ohm=3.3, k_cond=0.285, c_heat=11.1)
-        problem = make_problem(bounds=bounds, initial=initial)
-        result = match_parameters(problem, MatchOptions(multistart=False))
+        # the true K = 1.3 W/K lies above the box: the search must end on
+        # the K bound nearest the excluded optimum
+        truth = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=1.3, c_heat=11.1)
+        problem = make_problem(duration=60.0, truth=truth)
+        result = match_parameters(problem)
         assert result.at_bound
         assert not result.converged
-        assert result.params.alpha == pytest.approx(0.015, rel=1e-9)
+        assert result.params.k_cond == UPPER[1]
 
     def test_noisy_short_record_budget_and_winner_bits(self, monkeypatch):
         # 60 s at 70 C with sensor noise: four of the five starts are pushed
@@ -163,8 +159,9 @@ class TestMatchParameters:
         ]
 
     def test_initial_must_be_in_bounds(self):
-        with pytest.raises(ValueError):
-            make_problem(bounds=ParameterBounds(alpha=(0.06, 0.2)))
+        outside = PeltierParams(alpha=0.3, r_ohm=3.3, k_cond=0.3, c_heat=10.0)
+        with pytest.raises(ValueError, match=r"alpha in \[0.005, 0.2\] V/K"):
+            make_problem(initial=outside)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
