@@ -45,7 +45,6 @@ from .nugap import (
     NuGapMatrix,
     UnitCirclePoleError,
     chordal_distance,
-    nugap,
     select_nominal,
 )
 from .twin import (

@@ -1,16 +1,16 @@
 """Box-Jenkins model identification from recorded step tests.
 
 The deterministic part B/F of each channel is fitted by simulation-error
-(output-error) minimization: Levenberg-Marquardt (damped Gauss-Newton) on
-the analytic Jacobian of the simulation residual, whose columns are the
-filtered regressors (1/F)u and (1/F)y_hat at their delays (Ljung, System
-Identification, 2nd ed., section 10.2).  Steps that leave F unstable, by a
+(output-error) minimization.  The residual y - (B/F)u is linear in B, so
+for each F the B coefficients are solved by least squares on the filtered
+regressors (1/F)u, and Levenberg-Marquardt searches over F alone on
+Kaufman's Jacobian (variable projection: Golub & Pereyra, SIAM J. Numer.
+Anal. 10, 1973; Kaufman, BIT 15, 1975).  Steps that leave F unstable, by a
 Schur-Cohn step-down test, are rejected.  Each fit starts from a
-matching-order ARX least-squares estimate plus seeded perturbations.  The
-noise part C/D is then fitted on the simulation residuals in the
-Hannan-Rissanen style (long AR for innovations, then linear least
-squares).  Everything downstream that scores models uses only B/F, so the
-two stages never need a joint search.
+matching-order ARX estimate plus seeded perturbations.  The noise part C/D
+is then fitted on the simulation residuals in the Hannan-Rissanen style
+(long AR for innovations, then linear least squares).  Everything that
+scores models uses only B/F, so the two stages never need a joint search.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.signal
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .lm import CONVERGED_REASONS, multistart
 from .lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
@@ -150,29 +151,43 @@ def _project_stable(monic: np.ndarray, radius: float = 1.0 - _STABILITY_MARGIN) 
     return out
 
 
-def _oe_residual(theta: np.ndarray, u: np.ndarray, y: np.ndarray, nk: int, nb: int):
-    """Simulation residual, or None when F is unstable / the run blew up."""
-    f = np.concatenate([[1.0], theta[nb:]])
-    if not _is_stable(f):
-        return None
-    r = y - scipy.signal.lfilter(np.concatenate([np.zeros(nk), theta[:nb]]), f, u)
-    if not np.all(np.isfinite(r)):
-        return None
-    return r
+def _delayed(x: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Columns of ``x`` delayed by first, first + 1, .., first + count - 1 samples."""
+    out = np.zeros((x.size, count))
+    for i, d in enumerate(range(first, first + count)):
+        out[d:, i] = x[: x.size - d]
+    return out
 
 
-def _oe_jacobian(theta: np.ndarray, y_hat: np.ndarray, u: np.ndarray, nk: int, nb: int):
-    """d r / d theta of r = y - (B/F)u: -(1/F)u at delay nk+i, +(1/F)y_hat at delay j."""
-    f = np.concatenate([[1.0], theta[nb:]])
-    uf = scipy.signal.lfilter([1.0], f, u)
-    yf = scipy.signal.lfilter([1.0], f, y_hat)
-    n = u.size
-    jac = np.zeros((n, theta.size))
-    for i in range(nb):
-        jac[nk + i :, i] = -uf[: n - nk - i]
-    for j in range(1, theta.size - nb + 1):
-        jac[j:, nb + j - 1] = yf[: n - j]
-    return jac
+def _oe_problem(u: np.ndarray, y: np.ndarray, nk: int, nb: int):
+    """Residual and Kaufman Jacobian of the fit over F's tail, B projected out.
+
+    ``residual(f)`` is y - Phi b for the least-squares b on the regressors
+    Phi, (1/F)u at delays nk..nk+nb-1, or None when F is unstable or the run
+    blew up.  ``jacobian(f, r)`` projects the F columns (1/F)(y - r) at delays
+    1..nf off range(Phi), with the Q of the last ``residual`` call: the LM
+    kernel always makes that call at the point it differentiates next.
+    """
+    last = {}
+
+    def residual(f_tail):
+        f = np.concatenate([[1.0], f_tail])
+        if not _is_stable(f):
+            return None
+        qr, tau, _, _ = dgeqrf(_delayed(scipy.signal.lfilter([1.0], f, u), nk, nb))
+        q = dorgqr(qr, tau)[0]
+        r = y - q @ (q.T @ y)
+        if not np.all(np.isfinite(r)):
+            return None
+        last["q"] = q
+        return r
+
+    def jacobian(f_tail, r):
+        f = np.concatenate([[1.0], f_tail])
+        jac = _delayed(scipy.signal.lfilter([1.0], f, y - r), 1, f_tail.size)
+        return jac - last["q"] @ (last["q"].T @ jac)
+
+    return residual, jacobian
 
 
 def _arx_start(u: np.ndarray, y: np.ndarray, order: OrderSpec) -> np.ndarray:
@@ -192,12 +207,13 @@ def _arx_start(u: np.ndarray, y: np.ndarray, order: OrderSpec) -> np.ndarray:
 def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> FitResult:
     """Fit the deterministic channel B/F by simulation-error minimization.
 
-    Runs a seeded multistart around the ARX initializer, plus
-    ``warm_start`` (B/F parameters ``[b_nk, .., f_1, ..]``) when given, and
-    returns the best iterate even when not converged.  C and D come back as
-    identity; see :func:`fit_noise_model` for the noise half.  Raw
-    sequences carry no time base, so the returned model is stamped with a
-    unit sample time (:func:`identify_family` restamps it from the dataset).
+    The search runs over F alone, B being the least-squares solution for
+    each F (variable projection).  It is a seeded multistart around the ARX
+    initializer, plus ``warm_start`` (F's tail ``[f_1, .., f_nf]``) when
+    given, and returns the best iterate even when not converged.  C and D
+    come back as identity; see :func:`fit_noise_model` for the noise half.
+    Raw sequences carry no time base, so the returned model is stamped with
+    a unit sample time (:func:`identify_family` restamps it from the dataset).
     """
     order = _coerce_order(order)
     u = np.asarray(input, dtype=float).ravel()
@@ -213,38 +229,37 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
 
     theta0 = _arx_start(u, y, order)
     rng = np.random.default_rng(seed)
-    starts = [theta0]
+    starts = [theta0[order.nb :]]
     scale = PERTURBATION * (1.0 + np.abs(theta0))
     for _ in range(N_STARTS - 1):
         cand = theta0 + scale * rng.standard_normal(theta0.size)
         f = _project_stable(np.concatenate([[1.0], cand[order.nb:]]), radius=0.95)
-        starts.append(np.concatenate([cand[: order.nb], f[1:]]))
+        starts.append(f[1:])
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float).ravel()
-        if warm_start.size != theta0.size:
+        if warm_start.size != order.nf:
             raise ValueError(
-                f"warm_start must have nb + nf = {theta0.size} entries, got {warm_start.size}"
+                f"warm_start must have nf = {order.nf} entries, got {warm_start.size}"
             )
         starts.append(warm_start)
 
-    def residual(theta):
-        return _oe_residual(theta, u, y, order.nk, order.nb)
-
-    def jacobian(theta, r):
-        return _oe_jacobian(theta, y - r, u, order.nk, order.nb)
-
+    residual, jacobian = _oe_problem(u, y, order.nk, order.nb)
     search = multistart(residual, jacobian, starts, MAX_ITER, TOL)
     if search is None:
         raise FitFailureError(
             f"no stable iterate found for order {order.label} on {y.size} samples"
         )
     winner, outcomes = search
-    theta, cost, iterations, reason, _, residuals = outcomes[winner]
+    f_tail, _, iterations, reason, _, _ = outcomes[winner]
+    f = np.concatenate([[1.0], f_tail])
+    phi = _delayed(scipy.signal.lfilter([1.0], f, u), order.nk, order.nb)
+    b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
+    residuals = y - scipy.signal.lfilter(b, f, u)
     model = BoxJenkinsModel(
-        b=DiscretePolynomial(np.concatenate([np.zeros(order.nk), theta[: order.nb]])),
+        b=DiscretePolynomial(b),
         c=DiscretePolynomial([1.0]),
         d=DiscretePolynomial([1.0]),
-        f=DiscretePolynomial(np.concatenate([[1.0], theta[order.nb :]])),
+        f=DiscretePolynomial(f),
         delay=order.nk,
         sample_time=1.0,
     )
@@ -254,7 +269,7 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
         pred_residuals=residuals.copy(),
         converged=reason in CONVERGED_REASONS,
         iterations=iterations,
-        cost=cost,
+        cost=float(residuals @ residuals),
     )
 
 
@@ -336,17 +351,16 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
     models: dict = {}
     fits: dict = {}
     errors: list = []
-    prev: dict = {}  # channel -> (order, B/F parameters) of its last successful fit
+    prev: dict = {}  # channel -> (order, F tail) of its last successful fit
 
     for order in orders:
         per_channel = {}
         for ch, signal_out in channels.items():
             warm = None
             if ch in prev:
-                ps, pt = prev[ch]
+                ps, pf = prev[ch]
                 if ps.nk == order.nk and ps.nb <= order.nb and ps.nf <= order.nf:
-                    pad_b, pad_f = np.zeros(order.nb - ps.nb), np.zeros(order.nf - ps.nf)
-                    warm = np.concatenate([pt[: ps.nb], pad_b, pt[ps.nb :], pad_f])
+                    warm = np.concatenate([pf, np.zeros(order.nf - ps.nf)])
             try:
                 fit = fit_output_error(r, signal_out, order, seed, warm)
                 c, d = fit_noise_model(fit.sim_residuals, order.nc, order.nd)
@@ -361,10 +375,7 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
                 continue
             fits[(order.label, ch)] = fit
             per_channel[ch] = fit
-            theta = np.concatenate(
-                [fit.model.b.as_array()[order.nk :], fit.model.f.as_array()[1:]]
-            )
-            prev[ch] = (order, theta)
+            prev[ch] = (order, fit.model.f.as_array()[1:])
         if "y" in per_channel and "u" in per_channel:
             models[order.label] = SimoModel(
                 tf_y=per_channel["y"].model.deterministic_tf,

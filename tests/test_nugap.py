@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,3 +209,9 @@ class TestSelection:
             NuGapMatrix(["a", "b"], [[0.1, 0.5], [0.5, 0.0]])  # nonzero diagonal
         with pytest.raises(ValueError):
             NuGapMatrix(["a", "b"], [[0.0, 1.5], [1.5, 0.0]])  # out of range
+
+
+def test_package_attribute_is_the_nugap_module():
+    import twindisc
+
+    assert twindisc.nugap is importlib.import_module("twindisc.nugap")
