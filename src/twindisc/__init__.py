@@ -58,7 +58,6 @@ from .twin import (
     peltier_derivatives,
     peltier_heat_flows,
     simulate_closed_loop,
-    terminal_voltage,
 )
 from .sysid import (
     BoxJenkinsModel,

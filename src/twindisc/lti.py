@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+from scipy.linalg.blas import dtbsv
 
 
 class InvalidModelError(ValueError):
@@ -97,6 +97,29 @@ class SimoModel:
         return self.tf_y.sample_time
 
 
+def denominator_band(f, n: int) -> np.ndarray:
+    """Monic F as the band of its n x n lower-triangular Toeplitz matrix.
+
+    Row d holds the z^-d tap in every column, the BLAS band layout.  The
+    array is Fortran-ordered so that BLAS reads it without a copy.
+    """
+    return np.repeat(np.asarray(f, dtype=float)[None, :], n, 0).T
+
+
+def forward_solve(band: np.ndarray, w) -> np.ndarray:
+    """Zero-state response of 1/F to ``w``: forward substitution F y = w.
+
+    ``band`` comes from :func:`denominator_band`; its z^0 row is taken as 1.
+    """
+    return dtbsv(band.shape[0] - 1, band, w, lower=1, diag=1)
+
+
+def lfilter(b, f, x) -> np.ndarray:
+    """Zero-state response (B/F)x for a monic F; ``f[0]`` is taken as 1."""
+    x = np.asarray(x, dtype=float)
+    return forward_solve(denominator_band(f, x.size), np.convolve(x, b)[: x.size])
+
+
 def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:
     """Run the difference-equation recursion with zero initial conditions.
 
@@ -110,7 +133,7 @@ def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:
         raise InvalidModelError(
             f"denominator z^0 coefficient must be 1, got {tf.denominator.coeffs[0]}"
         )
-    return scipy.signal.lfilter(tf.numerator.as_array(), tf.denominator.as_array(), u)
+    return lfilter(tf.numerator.as_array(), tf.denominator.as_array(), u)
 
 
 def frequency_response(tf: DiscreteTransferFunction, omegas) -> np.ndarray:

@@ -18,11 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.signal
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .lm import CONVERGED_REASONS, multistart
-from .lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
+from .lti import (
+    DiscretePolynomial,
+    DiscreteTransferFunction,
+    SimoModel,
+    denominator_band,
+    forward_solve,
+    lfilter,
+)
 
 DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
 _STABILITY_MARGIN = 1e-6
@@ -165,8 +171,9 @@ def _oe_problem(u: np.ndarray, y: np.ndarray, nk: int, nb: int):
     ``residual(f)`` is y - Phi b for the least-squares b on the regressors
     Phi, (1/F)u at delays nk..nk+nb-1, or None when F is unstable or the run
     blew up.  ``jacobian(f, r)`` projects the F columns (1/F)(y - r) at delays
-    1..nf off range(Phi), with the Q of the last ``residual`` call: the LM
-    kernel always makes that call at the point it differentiates next.
+    1..nf off range(Phi), with the F band and the Q of the last ``residual``
+    call: the LM kernel always makes that call at the point it
+    differentiates next.
     """
     last = {}
 
@@ -174,17 +181,17 @@ def _oe_problem(u: np.ndarray, y: np.ndarray, nk: int, nb: int):
         f = np.concatenate([[1.0], f_tail])
         if not _is_stable(f):
             return None
-        qr, tau, _, _ = dgeqrf(_delayed(scipy.signal.lfilter([1.0], f, u), nk, nb))
+        band = denominator_band(f, u.size)
+        qr, tau, _, _ = dgeqrf(_delayed(forward_solve(band, u), nk, nb))
         q = dorgqr(qr, tau)[0]
         r = y - q @ (q.T @ y)
         if not np.all(np.isfinite(r)):
             return None
-        last["q"] = q
+        last["band"], last["q"] = band, q
         return r
 
     def jacobian(f_tail, r):
-        f = np.concatenate([[1.0], f_tail])
-        jac = _delayed(scipy.signal.lfilter([1.0], f, y - r), 1, f_tail.size)
+        jac = _delayed(forward_solve(last["band"], y - r), 1, f_tail.size)
         return jac - last["q"] @ (last["q"].T @ jac)
 
     return residual, jacobian
@@ -252,9 +259,9 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     winner, outcomes = search
     f_tail, _, iterations, reason, _, _ = outcomes[winner]
     f = np.concatenate([[1.0], f_tail])
-    phi = _delayed(scipy.signal.lfilter([1.0], f, u), order.nk, order.nb)
+    phi = _delayed(lfilter([1.0], f, u), order.nk, order.nb)
     b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
-    residuals = y - scipy.signal.lfilter(b, f, u)
+    residuals = y - lfilter(b, f, u)
     model = BoxJenkinsModel(
         b=DiscretePolynomial(b),
         c=DiscretePolynomial([1.0]),
@@ -319,8 +326,8 @@ def one_step_residuals(model: BoxJenkinsModel, u, y) -> np.ndarray:
     """One-step prediction errors of the full BJ model: e = (D/C)(y - (B/F)u)."""
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    v = y - scipy.signal.lfilter(model.b.as_array(), model.f.as_array(), u)
-    return scipy.signal.lfilter(model.d.as_array(), model.c.as_array(), v)
+    v = y - lfilter(model.b.as_array(), model.f.as_array(), u)
+    return lfilter(model.d.as_array(), model.c.as_array(), v)
 
 
 @dataclass(frozen=True)

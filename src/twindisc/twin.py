@@ -174,11 +174,6 @@ def peltier_heat_flows(state, current: float, p: PeltierParams) -> tuple[float, 
     return q_a, q_b
 
 
-def terminal_voltage(state, current: float, p: PeltierParams) -> float:
-    """Module terminal voltage alpha*(T_B - T_A) + I*R."""
-    return p.alpha * (float(state[1]) - float(state[0])) + current * p.r_ohm
-
-
 def peltier_derivatives(
     state, current: float, p: PeltierParams, cfg: SimConfig
 ) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from twindisc.lti import (
     DiscretePolynomial,
@@ -7,7 +8,9 @@ from twindisc.lti import (
     InvalidModelError,
     NearPoleError,
     SimoModel,
+    denominator_band,
     frequency_response,
+    lfilter,
     pole_magnitudes,
     simulate,
 )
@@ -83,6 +86,31 @@ class TestSimulate:
             y = simulate(tf([1.0], den), np.ones(1000))
             first, last = y[:100], y[-100:]
             assert np.var(last) < np.var(first) + 1e-15
+
+
+class TestLfilter:
+    @pytest.mark.parametrize("n", [1, 2, 600])
+    def test_matches_scipy_lfilter(self, n):
+        rng = np.random.default_rng(n)
+        dens = [np.array([1.0])] + [
+            random_stable_poly(rng, degree, max_radius=0.98).as_array()
+            for degree in range(1, 6)
+            for _ in range(4)
+        ]
+        for den in dens:
+            for zeros in range(3):
+                num = np.concatenate([np.zeros(zeros), rng.normal(size=3)])
+                x = rng.normal(size=n)
+                want = scipy.signal.lfilter(num, den, x)
+                got = lfilter(num, den, x)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_band_is_fortran_ordered(self):
+        # a C-ordered band makes the BLAS wrapper copy it on every call
+        band = denominator_band([1.0, -1.5, 0.56], 600)
+        assert band.shape == (3, 600)
+        assert band.flags.f_contiguous
 
 
 class TestFrequencyResponse:

@@ -19,7 +19,6 @@ from twindisc.twin import (
     peltier_heat_flows,
     read_csv,
     simulate_closed_loop,
-    terminal_voltage,
     write_csv,
 )
 
@@ -65,10 +64,6 @@ class TestPhysics:
         q_a, _ = peltier_heat_flows((t_a, t_b), 2.0, p)
         by_hand = 0.0211 * (t_a + KELVIN_OFFSET) * 2.0 - 0.5 * 4.0 * 3.3 + 0.286 * 10.0
         assert q_a == pytest.approx(by_hand, rel=1e-12)
-
-    def test_terminal_voltage_equal_faces(self):
-        p = params_for(30.0)
-        assert terminal_voltage((40.0, 40.0), 1.7, p) == pytest.approx(1.7 * 3.3)
 
     def test_cooling_is_monotone_without_drive(self):
         p = params_for(50.0)
