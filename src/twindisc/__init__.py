@@ -32,11 +32,9 @@ from .coding import (
 )
 from .criteria import (
     CriteriaReport,
-    ResidualSummary,
     SimoCriteriaReport,
     bic,
     criteria_report,
-    loss_function,
     mdl,
     naic,
     simo_criteria,

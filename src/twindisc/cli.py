@@ -52,6 +52,8 @@ class DiscriminateOptions:
         # checked here so that a bad value fails before any identification
         for label in self.orders:
             sysid.OrderSpec.from_label(label)
+            if self.orders.count(label) > 1:
+                raise ValueError(f"order {label} is listed more than once")
         if self.precision < 0:
             raise ValueError("precision must be >= 0")
         if self.nugap_grid < 64:

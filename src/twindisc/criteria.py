@@ -16,29 +16,6 @@ NAIC_FORMS = ("normalized", "literal")
 
 
 @dataclass(frozen=True)
-class ResidualSummary:
-    """One scalar channel's prediction errors plus its parameter count."""
-
-    residuals: tuple
-    n_params: int
-
-    def __init__(self, residuals, n_params: int):
-        residuals = tuple(float(r) for r in np.asarray(residuals, dtype=float).ravel())
-        if len(residuals) < 1:
-            raise ValueError("need at least one residual")
-        if not all(math.isfinite(r) for r in residuals):
-            raise ValueError("residuals must be finite")
-        if n_params < 0:
-            raise ValueError("n_params must be >= 0")
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "n_params", int(n_params))
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.residuals)
-
-
-@dataclass(frozen=True)
 class CriteriaReport:
     """All three criteria for one channel.
 
@@ -53,15 +30,8 @@ class CriteriaReport:
     zero_loss: bool = False
 
 
-def loss_function(rs: ResidualSummary) -> float:
-    """det((1/N) sum eps eps^T); for a scalar channel, the mean square."""
-    r = np.asarray(rs.residuals)
-    return float(np.mean(r * r))
-
-
-def naic_value(
-    loss: float, n_params: int, n_samples: int, form: str = "normalized"
-) -> float:
+def naic(loss: float, n_params: int, n_samples: int, form: str = "normalized") -> float:
+    """Normalized Akaike criterion; the "literal" form keeps the leading N."""
     if form not in NAIC_FORMS:
         raise ValueError(f"naic form must be one of {NAIC_FORMS}, got {form!r}")
     if loss == 0.0:
@@ -72,7 +42,8 @@ def naic_value(
     return math.log(loss) + penalty
 
 
-def bic_value(loss: float, n_params: int, n_samples: int) -> float:
+def bic(loss: float, n_params: int, n_samples: int) -> float:
+    """Bayesian information criterion with the Gaussian-likelihood constant."""
     if loss == 0.0:
         return -math.inf
     n = n_samples
@@ -83,33 +54,27 @@ def bic_value(loss: float, n_params: int, n_samples: int) -> float:
     )
 
 
-def mdl_value(loss: float, n_params: int, n_samples: float) -> float:
+def mdl(loss: float, n_params: int, n_samples: float) -> float:
+    """Description-length index loss * (1 + d/N) * ln(N)."""
     if n_samples < 2:
         raise ValueError("mdl needs at least 2 samples")
     return loss * (1.0 + n_params / n_samples) * math.log(n_samples)
 
 
-def naic(rs: ResidualSummary, form: str = "normalized") -> float:
-    """Normalized Akaike criterion; the "literal" form keeps the leading N."""
-    return naic_value(loss_function(rs), rs.n_params, rs.n_samples, form)
-
-
-def bic(rs: ResidualSummary) -> float:
-    """Bayesian information criterion with the Gaussian-likelihood constant."""
-    return bic_value(loss_function(rs), rs.n_params, rs.n_samples)
-
-
-def mdl(rs: ResidualSummary) -> float:
-    """Description-length index loss * (1 + d/N) * ln(N)."""
-    return mdl_value(loss_function(rs), rs.n_params, rs.n_samples)
-
-
-def criteria_report(rs: ResidualSummary, naic_form: str = "normalized") -> CriteriaReport:
-    loss = loss_function(rs)
+def criteria_report(residuals, n_params: int, naic_form: str = "normalized") -> CriteriaReport:
+    """Score one channel; its loss det((1/N) sum eps eps^T) is the mean square."""
+    r = np.asarray(residuals, dtype=float).ravel()
+    if r.size < 1:
+        raise ValueError("need at least one residual")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals must be finite")
+    if n_params < 0:
+        raise ValueError("n_params must be >= 0")
+    loss = float(np.mean(r * r))
     return CriteriaReport(
-        naic=naic_value(loss, rs.n_params, rs.n_samples, naic_form),
-        bic=bic_value(loss, rs.n_params, rs.n_samples),
-        mdl=mdl_value(loss, rs.n_params, rs.n_samples),
+        naic=naic(loss, n_params, r.size, naic_form),
+        bic=bic(loss, n_params, r.size),
+        mdl=mdl(loss, n_params, r.size),
         loss=loss,
         zero_loss=(loss == 0.0),
     )
@@ -145,6 +110,6 @@ def simo_criteria(
     """
     res_y, res_u = residuals
     return SimoCriteriaReport(
-        y=criteria_report(ResidualSummary(res_y, n_params), naic_form),
-        u=criteria_report(ResidualSummary(res_u, n_params), naic_form),
+        y=criteria_report(res_y, n_params, naic_form),
+        u=criteria_report(res_u, n_params, naic_form),
     )

@@ -117,11 +117,8 @@ def _chordal_grid(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
     return left / right
 
 
-def _winding_number(m1, m2, grid_size: int) -> tuple[int, float]:
-    """Encirclement count of det(I + P2* P1) sampled along the unit circle."""
-    omegas = np.linspace(0.0, np.pi, grid_size)
-    P1 = _response_columns(m1, omegas)
-    P2 = _response_columns(m2, omegas)
+def _winding_number(P1: np.ndarray, P2: np.ndarray) -> tuple[int, float]:
+    """Encirclement count of det(I + P2* P1) from (m, G) responses over [0, pi]."""
     g_half = 1.0 + np.sum(P2.conj() * P1, axis=0)
     # responses at negative frequencies are conjugates, so the full closed
     # contour is the upper half, its reversed conjugate, then back to start
@@ -153,13 +150,14 @@ def nugap(
     _screen_unit_circle_poles(m1)
     _screen_unit_circle_poles(m2)
 
+    omegas = np.linspace(0.0, np.pi, grid_size)
+    P1, P2 = _response_columns(m1, omegas), _response_columns(m2, omegas)
     if strict_winding:
-        winding, min_mag = _winding_number(m1, m2, grid_size)
+        winding, min_mag = _winding_number(P1, P2)
         if winding != 0 or min_mag < 1e-9:
             return 1.0
 
-    omegas = np.linspace(0.0, np.pi, grid_size)
-    d = _chordal_grid(_response_columns(m1, omegas), _response_columns(m2, omegas))
+    d = _chordal_grid(P1, P2)
     k = int(np.argmax(d))
     best = float(d[k])
 

@@ -200,12 +200,7 @@ def _oe_problem(u: np.ndarray, y: np.ndarray, nk: int, nb: int):
 def _arx_start(u: np.ndarray, y: np.ndarray, order: OrderSpec) -> np.ndarray:
     nb, nf, nk = order.nb, order.nf, order.nk
     t0 = max(nb + nk - 1, nf)
-    n = y.size
-    phi = np.empty((n - t0, nb + nf))
-    for i in range(nb):
-        phi[:, i] = u[t0 - nk - i : n - nk - i]
-    for j in range(nf):
-        phi[:, nb + j] = -y[t0 - 1 - j : n - 1 - j]
+    phi = np.hstack([_delayed(u, nk, nb), -_delayed(y, 1, nf)])[t0:]
     theta, *_ = np.linalg.lstsq(phi, y[t0:], rcond=None)
     f = _project_stable(np.concatenate([[1.0], theta[nb:]]), radius=0.99)
     return np.concatenate([theta[:nb], f[1:]])
@@ -301,20 +296,13 @@ def fit_noise_model(residuals, nc: int, nd: int):
         )
 
     p_ar = min(max(10, 2 * (nc + nd)), v.size // 5)
-    phi = np.empty((v.size - p_ar, p_ar))
-    for i in range(p_ar):
-        phi[:, i] = v[p_ar - 1 - i : v.size - 1 - i]
+    phi = _delayed(v, 1, p_ar)[p_ar:]
     a, *_ = np.linalg.lstsq(phi, v[p_ar:], rcond=None)
     e = np.zeros_like(v)
     e[p_ar:] = v[p_ar:] - phi @ a
 
     t0 = p_ar + max(nc, nd)
-    rows = v.size - t0
-    reg = np.empty((rows, nd + nc))
-    for i in range(nd):
-        reg[:, i] = -v[t0 - 1 - i : v.size - 1 - i]
-    for j in range(nc):
-        reg[:, nd + j] = e[t0 - 1 - j : v.size - 1 - j]
+    reg = np.hstack([-_delayed(v, 1, nd), _delayed(e, 1, nc)])[t0:]
     theta, *_ = np.linalg.lstsq(reg, v[t0:], rcond=None)
 
     d = _project_stable(np.concatenate([[1.0], theta[:nd]]))

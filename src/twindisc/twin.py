@@ -319,6 +319,5 @@ def read_csv(path, label: str | None = None) -> TimeSeriesDataset:
         raise ValueError(f"{path}: CSV must have columns t,r,u,y (got {names})")
     if label is None:
         label = os.path.splitext(os.path.basename(str(path)))[0]
-    return TimeSeriesDataset(
-        data["t"], data["r"], data["u"], data["y"], label=label
-    )
+    # one data row parses to 0-d columns
+    return TimeSeriesDataset(*(np.atleast_1d(data[col]) for col in required), label=label)

@@ -16,7 +16,7 @@ import scipy.signal
 
 from twindisc import cli
 from twindisc.coding import CodeLengthReport, code_length, encode_number, information_gain
-from twindisc.criteria import ResidualSummary, bic, mdl, naic
+from twindisc.criteria import criteria_report
 from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.matching import INITIAL_GUESS_PRESETS, MatchProblem, match_parameters
 from twindisc.nugap import argmin_cumulative, nugap, select_nominal
@@ -82,7 +82,7 @@ def test_c03_criteria_oracle_equivalence():
             n = int(rng.integers(2, 500))
             residuals = rng.normal(0.0, rng.uniform(0.01, 50.0), size=n)
             p = int(rng.integers(0, 25))
-            summary = ResidualSummary(residuals, p)
+            scored = criteria_report(residuals, p)
             # independent direct-formula oracle
             loss = sum(x * x for x in residuals) / n
             naic_oracle = math.log(loss) + 2.0 * p / n
@@ -92,9 +92,9 @@ def test_c03_criteria_oracle_equivalence():
                 + p * math.log(n)
             )
             mdl_oracle = loss * (1 + p / n) * math.log(n)
-            assert naic(summary) == pytest.approx(naic_oracle, rel=1e-9)
-            assert bic(summary) == pytest.approx(bic_oracle, rel=1e-9)
-            assert mdl(summary) == pytest.approx(mdl_oracle, rel=1e-9)
+            assert scored.naic == pytest.approx(naic_oracle, rel=1e-9)
+            assert scored.bic == pytest.approx(bic_oracle, rel=1e-9)
+            assert scored.mdl == pytest.approx(mdl_oracle, rel=1e-9)
 
 
 def test_c04_nugap_properties():

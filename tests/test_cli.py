@@ -406,7 +406,7 @@ class TestDiscriminateCommand:
         assert row["y"]["zero_loss"]
         # nb + nc + nd + nf, for the u channel's penalties as well
         assert row["n_params"] == 8
-        assert row["u"]["bic"] == criteria.bic_value(row["u"]["loss"], 8, n)
+        assert row["u"]["bic"] == criteria.bic(row["u"]["loss"], 8, n)
 
     def test_bad_order_label_is_usage_error(self, tmp_path, campaign_files):
         code = cli.main(
@@ -418,6 +418,20 @@ class TestDiscriminateCommand:
             ]
         )
         assert code == 2
+
+    def test_repeated_order_label_is_usage_error(self, tmp_path, campaign_files, capsys):
+        out = tmp_path / "r"
+        code = cli.main(
+            [
+                "discriminate",
+                campaign_files[0],
+                "--out", str(out),
+                "--orders", "22221,33331,22221",
+            ]
+        )
+        assert code == 2
+        assert "error: order 22221 is listed more than once" in capsys.readouterr().err
+        assert not os.path.exists(f"{out}.json")
 
 
 class TestMatchCommand:

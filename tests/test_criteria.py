@@ -3,92 +3,86 @@ import math
 import numpy as np
 import pytest
 
-from twindisc.criteria import (
-    ResidualSummary,
-    bic,
-    criteria_report,
-    loss_function,
-    mdl,
-    mdl_value,
-    naic,
-    simo_criteria,
-)
+from twindisc.criteria import bic, criteria_report, mdl, naic, simo_criteria
 
 
-def rs(residuals, n_params=0):
-    return ResidualSummary(residuals, n_params)
+def report(residuals, n_params=0, **kw):
+    return criteria_report(residuals, n_params, **kw)
 
 
 class TestLossFunction:
     def test_unit_mean_square(self):
-        assert loss_function(rs([1.0, -1.0, 1.0, -1.0])) == 1.0
+        assert report([1.0, -1.0, 1.0, -1.0]).loss == 1.0
 
     def test_zero_residuals(self):
-        assert loss_function(rs([0.0, 0.0])) == 0.0
+        assert report([0.0, 0.0]).loss == 0.0
 
     def test_direct_arithmetic(self):
-        assert loss_function(rs([3.0, 4.0])) == pytest.approx(12.5)
+        assert report([3.0, 4.0]).loss == pytest.approx(12.5)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             r = rng.normal(0.0, 3.0, size=rng.integers(2, 200))
             brute = sum(x * x for x in r) / len(r)
-            assert loss_function(rs(r)) == pytest.approx(brute, rel=1e-12)
+            assert report(r).loss == pytest.approx(brute, rel=1e-12)
 
 
 class TestNaic:
     def test_zero_for_unit_loss_no_params(self):
-        assert naic(rs([1.0, -1.0], n_params=0)) == 0.0
+        assert report([1.0, -1.0], n_params=0).naic == 0.0
 
     def test_direct_formula(self):
-        assert naic(rs([1.0, -1.0, 1.0, -1.0], n_params=2)) == pytest.approx(1.0)
+        assert report([1.0, -1.0, 1.0, -1.0], n_params=2).naic == pytest.approx(1.0)
 
     def test_literal_form_keeps_leading_n(self):
-        summary = rs([2.0, -2.0, 2.0, -2.0], n_params=1)
-        loss = loss_function(summary)
-        assert naic(summary, form="literal") == pytest.approx(
-            4 * math.log(loss) + 2 * 1 / 4
-        )
+        literal = report([2.0, -2.0, 2.0, -2.0], n_params=1, naic_form="literal")
+        assert literal.naic == pytest.approx(4 * math.log(literal.loss) + 2 * 1 / 4)
+        assert naic(literal.loss, 1, 4, form="literal") == literal.naic
 
     def test_zero_loss_sentinel(self):
-        report = criteria_report(rs([0.0, 0.0, 0.0], n_params=1))
-        assert report.naic == -math.inf
-        assert report.bic == -math.inf
-        assert report.zero_loss
+        zero = report([0.0, 0.0, 0.0], n_params=1)
+        assert zero.naic == -math.inf
+        assert zero.bic == -math.inf
+        assert zero.zero_loss
 
     def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            naic(rs([1.0]), form="other")
+        with pytest.raises(ValueError, match="naic form must be one of"):
+            report([1.0, 2.0], naic_form="other")
+        with pytest.raises(ValueError, match="naic form must be one of"):
+            naic(1.0, 0, 2, form="other")
 
 
 class TestBic:
     def test_direct_formula_evaluation(self):
-        summary = rs([1.0] * 10, n_params=2)
+        ones = report([1.0] * 10, n_params=2)
         expected = 10 * (math.log(2 * math.pi) + 1) + 2 * math.log(10)
-        assert bic(summary) == pytest.approx(expected)
-        assert bic(summary) == pytest.approx(32.9839, abs=2e-4)
+        assert ones.bic == pytest.approx(expected)
+        assert ones.bic == pytest.approx(32.9839, abs=2e-4)
+        assert bic(1.0, 2, 10) == ones.bic
 
     def test_parameter_increment_adds_log_n(self):
-        base = rs([0.5, -0.25, 0.75, 1.0], n_params=3)
-        more = rs([0.5, -0.25, 0.75, 1.0], n_params=4)
-        assert bic(more) - bic(base) == pytest.approx(math.log(4))
+        base = report([0.5, -0.25, 0.75, 1.0], n_params=3)
+        more = report([0.5, -0.25, 0.75, 1.0], n_params=4)
+        assert more.bic - base.bic == pytest.approx(math.log(4))
 
 
 class TestMdl:
     def test_unit_at_natural_sample_count(self):
-        assert mdl_value(1.0, 0, math.e) == pytest.approx(1.0)
+        assert mdl(1.0, 0, math.e) == pytest.approx(1.0)
 
     def test_direct_substitution(self):
         n = 37
-        assert mdl_value(2.0, n, n) == pytest.approx(4.0 * math.log(n))
+        assert mdl(2.0, n, n) == pytest.approx(4.0 * math.log(n))
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            mdl(rs([1.0]))
+        with pytest.raises(ValueError, match="mdl needs at least 2 samples"):
+            report([1.0])
+        with pytest.raises(ValueError, match="mdl needs at least 2 samples"):
+            mdl(1.0, 0, 1)
 
     def test_zero_loss_gives_zero(self):
-        assert mdl(rs([0.0, 0.0, 0.0])) == 0.0
+        assert report([0.0, 0.0, 0.0]).mdl == 0.0
 
 
 class TestProperties:
@@ -96,17 +90,18 @@ class TestProperties:
         rng = np.random.default_rng(8)
         residuals = rng.normal(0.0, 2.0, size=64)
         for p in range(0, 12):
-            a, b = rs(residuals, n_params=p), rs(residuals, n_params=p + 1)
-            assert naic(b) > naic(a)
-            assert bic(b) > bic(a)
-            assert mdl(b) > mdl(a)
+            a, b = report(residuals, n_params=p), report(residuals, n_params=p + 1)
+            assert b.naic > a.naic
+            assert b.bic > a.bic
+            assert b.mdl > a.mdl
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(15)
         residuals = rng.normal(0.0, 1.0, size=100)
         shuffled = rng.permutation(residuals)
-        assert naic(rs(residuals, 3)) == pytest.approx(naic(rs(shuffled, 3)))
-        assert bic(rs(residuals, 3)) == pytest.approx(bic(rs(shuffled, 3)))
+        a, b = report(residuals, 3), report(shuffled, 3)
+        assert a.naic == pytest.approx(b.naic)
+        assert a.bic == pytest.approx(b.bic)
 
     def test_ranking_invariant_to_naic_form_on_decisive_family(self):
         # with loss gaps that dominate the parameter penalty (the situation
@@ -116,11 +111,11 @@ class TestProperties:
         n = 400
         base = rng.normal(0.0, 1.0, size=n)
         family = [
-            rs(base * scale, n_params=4 * order)
+            (base * scale, 4 * order)
             for order, scale in zip(range(2, 6), (3.0, 1.0, 1.4, 1.9))
         ]
         for form in ("normalized", "literal"):
-            scores = [naic(member, form=form) for member in family]
+            scores = [report(r, p, naic_form=form).naic for r, p in family]
             assert int(np.argmin(scores)) == 1
 
     def test_oracle_equivalence_on_random_summaries(self):
@@ -129,43 +124,45 @@ class TestProperties:
             n = int(rng.integers(2, 400))
             residuals = rng.normal(0.0, rng.uniform(0.01, 10.0), size=n)
             p = int(rng.integers(0, 20))
-            summary = rs(residuals, p)
+            scored = report(residuals, p)
             loss = float(np.mean(np.square(residuals)))
-            assert naic(summary) == pytest.approx(
-                math.log(loss) + 2 * p / n, rel=1e-9
-            )
-            assert bic(summary) == pytest.approx(
+            assert scored.naic == pytest.approx(math.log(loss) + 2 * p / n, rel=1e-9)
+            assert scored.bic == pytest.approx(
                 n * math.log(loss) + n * (math.log(2 * math.pi) + 1) + p * math.log(n),
                 rel=1e-9,
             )
-            assert mdl(summary) == pytest.approx(
+            assert scored.mdl == pytest.approx(
                 loss * (1 + p / n) * math.log(n), rel=1e-9
             )
 
 
-class TestResidualSummary:
-    def test_sample_count_tracks_length(self):
-        assert rs([1.0, 2.0, 3.0]).n_samples == 3
+class TestCriteriaReport:
+    def test_sample_count_is_residual_length(self):
+        # N enters through the penalties: unit loss and no parameters leave
+        # mdl = ln N and bic = N (ln 2 pi + 1)
+        scored = report(np.ones(3))
+        assert scored.mdl == pytest.approx(math.log(3))
+        assert scored.bic == pytest.approx(3 * (math.log(2 * math.pi) + 1))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rs([])
-        with pytest.raises(ValueError):
-            rs([np.inf])
-        with pytest.raises(ValueError):
-            rs([1.0], n_params=-1)
+        with pytest.raises(ValueError, match="need at least one residual"):
+            report([])
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            report([np.inf])
+        with pytest.raises(ValueError, match="n_params must be >= 0"):
+            report([1.0, 2.0], n_params=-1)
 
 
 class TestSimoCriteria:
     def test_identical_channels_double_the_totals(self):
         res = 0.1 * np.random.default_rng(21).standard_normal(120)
-        report = simo_criteria((res, res.copy()), n_params=4)
-        assert report.naic_total == pytest.approx(2 * report.y.naic)
-        assert report.bic_total == pytest.approx(2 * report.y.bic)
-        assert report.mdl_total == pytest.approx(2 * report.y.mdl)
+        scored = simo_criteria((res, res.copy()), n_params=4)
+        assert scored.naic_total == pytest.approx(2 * scored.y.naic)
+        assert scored.bic_total == pytest.approx(2 * scored.y.bic)
+        assert scored.mdl_total == pytest.approx(2 * scored.y.mdl)
 
     def test_perfect_model_sentinels(self):
-        report = simo_criteria((np.zeros(100), np.zeros(100)), n_params=4)
-        assert report.y.zero_loss and report.u.zero_loss
-        assert report.naic_total == -math.inf
-        assert report.mdl_total == 0.0
+        scored = simo_criteria((np.zeros(100), np.zeros(100)), n_params=4)
+        assert scored.y.zero_loss and scored.u.zero_loss
+        assert scored.naic_total == -math.inf
+        assert scored.mdl_total == 0.0

@@ -339,6 +339,12 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    def test_single_row_csv_reports_sample_count(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("t,r,u,y\n0.0,1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match="dataset needs at least 2 samples"):
+            read_csv(path)
+
     def test_dataset_validation(self):
         t = np.arange(5.0)
         ones = np.ones(5)
