@@ -18,17 +18,13 @@ from .lti import (
     simulate,
 )
 from .coding import (
-    CodeLengthReport,
     DEFAULT_PRECISION,
     InformationGainReport,
     SimoGainReport,
-    code_length,
     encode_number,
     information_gain,
-    model_length,
     simo_information_gain,
     table_length,
-    trivial_length,
 )
 from .criteria import (
     CriteriaReport,

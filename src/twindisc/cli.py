@@ -54,8 +54,7 @@ class DiscriminateOptions:
             sysid.OrderSpec.from_label(label)
             if self.orders.count(label) > 1:
                 raise ValueError(f"order {label} is listed more than once")
-        if self.precision < 0:
-            raise ValueError("precision must be >= 0")
+        coding.encode_number(0.0, self.precision)  # the codec's own range check
         if self.nugap_grid < 64:
             raise ValueError("nugap_grid must be >= 64")
         if self.seed < 0:
@@ -78,13 +77,17 @@ def _atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _out_dir_exists(out_path: str) -> bool:
-    """Check an output's directory before any work; print the usage error if absent."""
-    out_dir = os.path.dirname(out_path) or "."
-    if os.path.isdir(out_dir):
-        return True
-    print(f"error: output directory {out_dir!r} does not exist", file=sys.stderr)
-    return False
+def _check_out_paths(*paths: str) -> bool:
+    """Check the files a command will write, before any work; print the first usage error."""
+    for path in paths:
+        out_dir = os.path.dirname(path) or "."
+        if not os.path.isdir(out_dir):
+            print(f"error: output directory {out_dir!r} does not exist", file=sys.stderr)
+            return False
+        if os.path.isdir(path):
+            print(f"error: output path {path!r} is a directory", file=sys.stderr)
+            return False
+    return True
 
 
 def _sha256_file(path: str) -> str:
@@ -296,12 +299,18 @@ def report_csv_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_paths(out_path: str) -> tuple[str, str]:
+    """The JSON and CSV paths of the report that ``--out out_path`` names."""
+    base, ext = os.path.splitext(out_path)
+    if ext == ".json":
+        return out_path, f"{base}.csv"
+    return f"{out_path}.json", f"{out_path}.csv"
+
+
 def write_report(report: dict, out_path: str) -> tuple[str, str]:
     """Emit the JSON and CSV forms of a report (validated against the schema)."""
     validate_report(report)
-    base, ext = os.path.splitext(out_path)
-    json_path = out_path if ext == ".json" else f"{out_path}.json"
-    csv_path = f"{base if ext == '.json' else out_path}.csv"
+    json_path, csv_path = _report_paths(out_path)
     _atomic_write_text(json_path, json.dumps(report, indent=2) + "\n")
     _atomic_write_text(csv_path, report_csv_text(report))
     return json_path, csv_path
@@ -371,7 +380,7 @@ def cmd_discriminate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not _out_dir_exists(args.out):
+    if not _check_out_paths(*_report_paths(args.out)):
         return EXIT_USAGE
     datasets = []
     load_errors = []
@@ -384,6 +393,11 @@ def cmd_discriminate(args) -> int:
         for msg in load_errors:
             print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
+    labels = [ds.label for ds in datasets]
+    for label in labels:
+        if labels.count(label) > 1:
+            print(f"error: dataset label {label!r} is given more than once", file=sys.stderr)
+            return EXIT_USAGE
 
     report = discriminate_datasets(datasets, opts)
     report["errors"] = load_errors + report["errors"]
@@ -414,7 +428,7 @@ def _parse_initial(text: str) -> twin.PeltierParams:
 
 
 def cmd_match(args) -> int:
-    if not _out_dir_exists(args.out):
+    if not _check_out_paths(args.out):
         return EXIT_USAGE
     try:
         dataset = twin.read_csv(args.dataset)

@@ -17,6 +17,8 @@ import numpy as np
 #: Scores are sensitive to it, so every pricing function takes it as an
 #: argument; the pipeline exposes it as ``discriminate --precision``.
 DEFAULT_PRECISION = 2
+#: Largest p with 10**p < 2**63; at 19 no value of magnitude >= 1 fits a token.
+MAX_PRECISION = 18
 
 #: Fixed program lengths measured once for the reference implementations of
 #: the trivial look-up model and the rational-model evaluator.  They are
@@ -24,18 +26,6 @@ DEFAULT_PRECISION = 2
 #: every score without changing a single ranking.
 TRIVIAL_PROGRAM_LENGTH = 15
 MODEL_PROGRAM_LENGTH = 176
-
-
-@dataclass(frozen=True)
-class CodeLengthReport:
-    """Character count of one encoded model: program plus look-up table."""
-
-    program_length: int
-    table_length: int
-
-    @property
-    def total(self) -> int:
-        return self.program_length + self.table_length
 
 
 @dataclass(frozen=True)
@@ -79,6 +69,8 @@ def encode_number(n: float, precision: int = DEFAULT_PRECISION) -> str:
     """
     if precision < 0:
         raise ValueError("precision must be >= 0")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be <= {MAX_PRECISION}")
     n = float(n)
     if not math.isfinite(n):
         raise ValueError(f"cannot encode non-finite value {n!r}")
@@ -90,34 +82,22 @@ def encode_number(n: float, precision: int = DEFAULT_PRECISION) -> str:
     return ("-" if n < 0.0 else "+") + str(magnitude)
 
 
-def code_length(n: float, precision: int = DEFAULT_PRECISION) -> int:
-    """Character count of the token for ``n``."""
-    return len(encode_number(n, precision))
-
-
 def table_length(values, precision: int = DEFAULT_PRECISION) -> int:
     """Summed token length of a look-up table; an empty table costs 0."""
-    return sum(code_length(v, precision) for v in np.asarray(values, dtype=float).ravel())
-
-
-def trivial_length(outputs, precision: int = DEFAULT_PRECISION) -> CodeLengthReport:
-    """Price of the trivial model: fixed program plus the raw outputs."""
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.size == 0:
-        raise ValueError("outputs must be non-empty")
-    return CodeLengthReport(TRIVIAL_PROGRAM_LENGTH, table_length(outputs, precision))
-
-
-def model_length(residuals, precision: int = DEFAULT_PRECISION) -> CodeLengthReport:
-    """Price of a candidate model: fixed program plus its residual table."""
-    return CodeLengthReport(MODEL_PROGRAM_LENGTH, table_length(residuals, precision))
+    return sum(len(encode_number(v, precision)) for v in np.ravel(values))
 
 
 def information_gain(
-    trivial: CodeLengthReport, model: CodeLengthReport
+    outputs, residuals, precision: int = DEFAULT_PRECISION
 ) -> InformationGainReport:
-    """Gain of a model over the trivial encoding; negative means it lost."""
-    return InformationGainReport(trivial.total, model.total)
+    """Gain of program plus ``residuals`` table over program plus raw ``outputs``; may be < 0."""
+    outputs = np.asarray(outputs, dtype=float)
+    if outputs.size == 0:
+        raise ValueError("outputs must be non-empty")
+    return InformationGainReport(
+        TRIVIAL_PROGRAM_LENGTH + table_length(outputs, precision),
+        MODEL_PROGRAM_LENGTH + table_length(residuals, precision),
+    )
 
 
 def simo_information_gain(
@@ -129,10 +109,7 @@ def simo_information_gain(
     on the dataset; the model's total gain is the sum of the per-channel gains.
     """
     res_y, res_u = residuals
-    ig_y = information_gain(
-        trivial_length(dataset.y, precision), model_length(res_y, precision)
+    return SimoGainReport(
+        y=information_gain(dataset.y, res_y, precision),
+        u=information_gain(dataset.u, res_u, precision),
     )
-    ig_u = information_gain(
-        trivial_length(dataset.u, precision), model_length(res_u, precision)
-    )
-    return SimoGainReport(y=ig_y, u=ig_u)

@@ -364,6 +364,50 @@ class TestDiscriminateCommand:
         assert code == 2
         assert "error: precision must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("precision", ["19", "400"])
+    def test_precision_above_token_range_is_rejected_before_any_work(
+        self, tmp_path, campaign_files, monkeypatch, capsys, precision
+    ):
+        monkeypatch.setattr(
+            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+        )
+        out = tmp_path / "r"
+        code = cli.main(
+            ["discriminate", *campaign_files, "--out", str(out), "--precision", precision]
+        )
+        assert code == 2
+        assert "error: precision must be <= 18" in capsys.readouterr().err
+        assert list(tmp_path.glob("r*")) == []
+
+    def test_out_naming_a_directory_is_usage_error_before_any_work(
+        self, tmp_path, campaign_files, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli.twin, "read_csv", lambda path: pytest.fail("data was read"))
+        out = tmp_path / "r.json"
+        out.mkdir()
+        code = cli.main(["discriminate", *campaign_files, "--out", str(out)])
+        assert code == 2
+        assert f"error: output path {str(out)!r} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_repeated_dataset_label_is_usage_error_before_any_fit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+        )
+        paths = []
+        for i, sub in enumerate(("a", "b")):
+            (tmp_path / sub).mkdir()
+            paths.append(str(make_dataset(tmp_path / sub / "dataset_30.csv", seed=i)))
+        out = tmp_path / "r"
+        code = cli.main(["discriminate", *paths, "--out", str(out)])
+        assert code == 2
+        assert "error: dataset label 'dataset_30' is given more than once" in (
+            capsys.readouterr().err
+        )
+        assert not os.path.exists(f"{out}.json")
+
     def test_unknown_naic_form_or_residual_source_rejected_before_any_work(
         self, campaign_files, monkeypatch
     ):
@@ -507,6 +551,18 @@ class TestMatchCommand:
         code = cli.main(["match", path, "--initial", "datasheet", "--out", str(out)])
         assert code == 2
         assert "error: output directory" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_is_usage_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = self._dataset(tmp_path)
+        monkeypatch.setattr(cli.twin, "read_csv", lambda path: pytest.fail("data was read"))
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = cli.main(["match", path, "--initial", "datasheet", "--out", str(out)])
+        assert code == 2
+        assert f"error: output path {str(out)!r} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")

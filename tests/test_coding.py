@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twindisc.coding import (
-    CodeLengthReport,
-    code_length,
+    MAX_PRECISION,
+    InformationGainReport,
     encode_number,
     information_gain,
-    model_length,
     simo_information_gain,
     table_length,
-    trivial_length,
 )
 from twindisc.lti import DiscreteTransferFunction, SimoModel, simulate
 from twindisc.twin import TimeSeriesDataset
@@ -22,19 +20,19 @@ from twindisc.twin import TimeSeriesDataset
 class TestEncodeNumber:
     def test_positive_two_decimals(self):
         assert encode_number(10.34) == "+1034"
-        assert code_length(10.34) == 5
+        assert len(encode_number(10.34)) == 5
 
     def test_negative_with_leading_zeros_stripped(self):
         assert encode_number(-0.45) == "-45"
-        assert code_length(-0.45) == 3
+        assert len(encode_number(-0.45)) == 3
 
     def test_zero_is_single_character(self):
         assert encode_number(0.0) == "0"
-        assert code_length(0.0) == 1
+        assert len(encode_number(0.0)) == 1
 
     def test_half_away_from_zero_rounding(self):
         assert encode_number(123.456) == "+12346"
-        assert code_length(123.456) == 6
+        assert len(encode_number(123.456)) == 6
         assert encode_number(-123.456) == "-12346"
 
     def test_precision_knob(self):
@@ -44,6 +42,13 @@ class TestEncodeNumber:
     def test_negative_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
             encode_number(10.34, -1)
+
+    def test_precision_above_token_range_rejected(self):
+        assert MAX_PRECISION == 18
+        assert encode_number(9.0, 18) == "+9000000000000000000"
+        for precision in (19, 400):
+            with pytest.raises(ValueError, match="precision must be <= 18"):
+                encode_number(9.0, precision)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +71,7 @@ class TestEncodeNumber:
     def test_sign_symmetry(self):
         rng = np.random.default_rng(9)
         for value in rng.uniform(0.005, 1e5, size=200):
-            assert code_length(value) == code_length(-value)
+            assert len(encode_number(value)) == len(encode_number(-value))
 
 
 def token_draws():
@@ -90,7 +95,6 @@ class TestCodecProperties:
         assert int(token) == (-magnitude if x < 0 else magnitude)
         if token != "0":
             assert token[0] in "+-" and token[1:].isdigit() and token[1] != "0"
-        assert code_length(x, p) == len(token)
         mirrored = encode_number(-x, p)
         assert mirrored[1:] == token[1:]
         if token == "0":
@@ -120,47 +124,43 @@ class TestTableLength:
 
 class TestModelLengths:
     def test_trivial_length_from_examples(self):
-        report = trivial_length([10.34, -0.45])
-        assert (report.program_length, report.table_length, report.total) == (15, 8, 23)
+        # program 15 + table 8
+        assert information_gain([10.34, -0.45], [0.0]).l_trivial == 23
 
     def test_trivial_length_single_zero(self):
-        report = trivial_length([0.0])
-        assert (report.program_length, report.table_length, report.total) == (15, 1, 16)
+        # program 15 + table 1
+        assert information_gain([0.0], [0.0]).l_trivial == 16
 
     def test_trivial_empty_rejected(self):
-        with pytest.raises(ValueError):
-            trivial_length([])
+        with pytest.raises(ValueError, match="outputs must be non-empty"):
+            information_gain([], [0.0])
 
     def test_perfect_model_pays_one_char_per_sample(self):
         outputs = np.linspace(1.0, 2.0, 100)
-        report = model_length(np.zeros_like(outputs))
-        assert (report.program_length, report.table_length, report.total) == (176, 100, 276)
+        report = information_gain(outputs, np.zeros_like(outputs))
+        assert report.l_model == 176 + 100
 
     def test_zero_prediction_degenerates_to_trivial_table(self):
         rng = np.random.default_rng(2)
         outputs = rng.normal(10.0, 3.0, size=64)
-        report = model_length(outputs)  # predicting zero leaves the outputs
-        assert report.table_length == trivial_length(outputs).table_length
+        report = information_gain(outputs, outputs)  # predicting zero leaves the outputs
+        assert report.l_model - 176 == report.l_trivial - 15
 
 
 class TestInformationGain:
     def test_reference_30c_order2_arithmetic(self):
-        ig_y = information_gain(
-            CodeLengthReport(15, 1242 - 15), CodeLengthReport(176, 681 - 176)
-        )
-        ig_u = information_gain(
-            CodeLengthReport(15, 1019 - 15), CodeLengthReport(176, 1014 - 176)
-        )
+        ig_y = InformationGainReport(1242, 681)
+        ig_u = InformationGainReport(1019, 1014)
         assert ig_y.gain == 561
         assert ig_u.gain == 5
         assert ig_y.gain + ig_u.gain == 566
 
     def test_negative_gain(self):
-        ig = information_gain(CodeLengthReport(15, 1004), CodeLengthReport(176, 879))
+        ig = InformationGainReport(15 + 1004, 176 + 879)
         assert ig.gain == -36
 
     def test_identical_lengths_give_zero(self):
-        ig = information_gain(CodeLengthReport(15, 85), CodeLengthReport(15, 85))
+        ig = InformationGainReport(15 + 85, 15 + 85)
         assert ig.gain == 0
         assert ig.explanation_degree == 0.0
 
@@ -168,20 +168,18 @@ class TestInformationGain:
         rng = np.random.default_rng(31)
         outputs = rng.normal(20.0, 4.0, size=120)
         residuals = rng.normal(0.0, 0.5, size=120)
-        trivial = trivial_length(outputs)
-        small = information_gain(trivial, model_length(residuals))
-        large = information_gain(trivial, model_length(10.0 * residuals))
+        small = information_gain(outputs, residuals)
+        large = information_gain(outputs, 10.0 * residuals)
         assert large.gain <= small.gain
 
     def test_explanation_degree_max_at_zero_residuals(self):
         rng = np.random.default_rng(12)
         outputs = rng.normal(15.0, 2.0, size=80)
-        trivial = trivial_length(outputs)
-        perfect = information_gain(trivial, model_length(np.zeros_like(outputs)))
-        ceiling = (trivial.total - 176 - len(outputs)) / trivial.total
+        perfect = information_gain(outputs, np.zeros_like(outputs))
+        ceiling = (perfect.l_trivial - 176 - len(outputs)) / perfect.l_trivial
         assert perfect.explanation_degree == pytest.approx(ceiling)
         assert perfect.explanation_degree < 1.0
-        noisy = information_gain(trivial, model_length(np.full_like(outputs, -0.05)))
+        noisy = information_gain(outputs, np.full_like(outputs, -0.05))
         assert noisy.explanation_degree < perfect.explanation_degree
 
 

@@ -1,6 +1,7 @@
-"""Each narrative script under demos/ runs to completion."""
+"""Each narrative script under demos/ runs to completion, and README maps every module and demo."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,17 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_maps_every_module_and_lists_every_demo():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    module_map = readme.split("## Module map", 1)[1]
+    mapped = set(re.findall(r"^\| `twindisc\.(\w+)` \|", module_map, flags=re.MULTILINE))
+    modules = {
+        p.stem
+        for p in (ROOT / "src" / "twindisc").glob("*.py")
+        if p.stem not in ("__init__", "__main__")
+    }
+    assert modules - mapped == set(), "modules missing from README's module map"
+    listed = set(re.findall(r"^python3 demos/(\S+\.py)$", readme, flags=re.MULTILINE))
+    assert {d.name for d in DEMOS} - listed == set(), "demos missing from README"
