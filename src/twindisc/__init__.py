@@ -38,7 +38,6 @@ from .criteria import (
 from .nugap import (
     NuGapMatrix,
     UnitCirclePoleError,
-    chordal_distance,
     select_nominal,
 )
 from .twin import (

@@ -155,9 +155,13 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
 
     Every order is scored from its fits' own residuals.  Returns the dataset's
     report and the model the nu-gap stage uses (None without a consensus).
+    Raises FitFailureError when no order could be identified.
     """
     family = sysid.identify_family(dataset, opts.orders, opts.seed)
     errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in family.errors]
+    if not family.models:
+        # an order without a model had a channel fail, so errors is not empty
+        raise sysid.FitFailureError(f"no order was identified; first error: {errors[0]}")
 
     rows = []
     # lower is better for every criterion, so information gain enters negated

@@ -9,6 +9,7 @@ with the line numbers the stock parser reports.
 from __future__ import annotations
 
 import configparser
+import math
 
 from .twin import PeltierParams, PidConfig, SensorConfig, SimConfig
 
@@ -34,9 +35,12 @@ def _get(parser, section, key, cast, default):
         return default
     raw = parser.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 # INI key -> dataclass field, per section; an absent key keeps the field's default
@@ -73,6 +77,13 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
         setpoints = tuple(float(tok) for tok in raw.replace(",", " ").split())
         if not setpoints:
             raise ConfigError(f"{path}: [simulation] setpoints must be non-empty")
+        seen = set()
+        for sp in setpoints:
+            if not math.isfinite(sp):
+                raise ConfigError(f"{path}: [simulation] setpoint {sp:g} is not a finite number")
+            if sp in seen:
+                raise ConfigError(f"{path}: [simulation] setpoint {sp:g} is listed more than once")
+            seen.add(sp)
         cfg = SimConfig(
             setpoint=setpoints[0],
             pid=PidConfig(**_fields(parser, "pid", PidConfig, _PID_KEYS)),

@@ -16,7 +16,9 @@ import numpy as np
 from . import lti
 
 DEFAULT_GRID_SIZE = 2048
-REFINE_ITERATIONS = 20
+_REFINE_PEAKS = 4
+_REFINE_ROUNDS = 5
+_REFINE_POINTS = 33
 _UNIT_CIRCLE_TOL = 1e-8
 
 
@@ -60,61 +62,42 @@ class NuGapMatrix:
         object.__setattr__(self, "cumulative", cumulative)
 
 
-def chordal_distance(p1_response, p2_response) -> float:
-    """Chordal distance between two m x 1 responses at a single frequency."""
-    p1 = np.asarray(p1_response, dtype=complex).ravel()
-    p2 = np.asarray(p2_response, dtype=complex).ravel()
-    if p1.shape != p2.shape:
-        raise ValueError("responses must have the same shape")
-    return float(_chordal_grid(p1[:, None], p2[:, None])[0])
+def _channels(model) -> tuple:
+    if isinstance(model, lti.SimoModel):
+        return (model.tf_y, model.tf_u)
+    return (model,)
 
 
 def _response_columns(model, omegas) -> np.ndarray:
     """Stack a model's frequency response as an (m, len(omegas)) array."""
-    if isinstance(model, lti.SimoModel):
-        return np.vstack(
-            [
-                lti.frequency_response(model.tf_y, omegas),
-                lti.frequency_response(model.tf_u, omegas),
-            ]
-        )
-    return np.atleast_2d(lti.frequency_response(model, omegas))
-
-
-def _denominators(model):
-    if isinstance(model, lti.SimoModel):
-        return (model.tf_y.denominator, model.tf_u.denominator)
-    return (model.denominator,)
+    return np.vstack([lti.frequency_response(tf, omegas) for tf in _channels(model)])
 
 
 def _label_of(model) -> str:
     return getattr(model, "label", "") or repr(model)
 
 
-def _screen_unit_circle_poles(model) -> None:
-    for den in _denominators(model):
-        if den.degree < 1:
-            continue
-        roots = np.roots(den.as_array())
-        mags = np.abs(roots)
-        near = np.abs(mags - 1.0) < _UNIT_CIRCLE_TOL
-        if np.any(near):
-            k = int(np.argmax(near))
-            raise UnitCirclePoleError(_label_of(model), abs(np.angle(roots[k])))
+def _pole_angles(model) -> np.ndarray:
+    """Angles in [0, pi] of a model's poles; raises UnitCirclePoleError on the circle."""
+    roots = np.concatenate([np.roots(tf.denominator.as_array()) for tf in _channels(model)])
+    near = np.abs(np.abs(roots) - 1.0) < _UNIT_CIRCLE_TOL
+    if np.any(near):
+        raise UnitCirclePoleError(_label_of(model), abs(np.angle(roots[np.argmax(near)])))
+    return np.abs(np.angle(roots))
 
 
 def _chordal_grid(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
-    """Chordal distance per column of (m, G) stacks (rank-one form of (I + vv*)^(-1/2))."""
-    w = P1 - P2
-    s2 = np.sum((P2.conj() * P2).real, axis=0)
-    vw = np.sum(P2.conj() * w, axis=0)
-    shrink = np.zeros_like(s2)
-    nz = s2 > 0.0
-    shrink[nz] = (1.0 - 1.0 / np.sqrt(1.0 + s2[nz])) / s2[nz]
-    g = w - P2 * (vw * shrink)
-    left = np.sqrt(np.sum((g.conj() * g).real, axis=0))
-    right = np.sqrt(1.0 + np.sum((P1.conj() * P1).real, axis=0))
-    return left / right
+    """Chordal distance per column of (m, G) stacks.
+
+    The sine of the angle between lines (1, P1) and (1, P2), by Lagrange's
+    identity.  Products keep their operand order under a swap (complex ones
+    need not commute bit for bit), so the result is symmetric bit for bit.
+    """
+    i, j = np.triu_indices(len(P1), 1)
+    num = np.sum(np.abs(P1 - P2) ** 2, axis=0)
+    num += np.sum(np.abs(P1[i] * P2[j] - P2[i] * P1[j]) ** 2, axis=0)
+    den = (1.0 + np.sum(np.abs(P1) ** 2, axis=0)) * (1.0 + np.sum(np.abs(P2) ** 2, axis=0))
+    return np.sqrt(num / den)
 
 
 def _winding_number(P1: np.ndarray, P2: np.ndarray) -> tuple[int, float]:
@@ -137,9 +120,11 @@ def nugap(
 ) -> float:
     """Worst-case chordal distance between two models over [0, pi].
 
-    The grid maximum is refined by bisection around the winning node.  With
-    ``strict_winding`` the admissibility condition is checked first and a
-    failing pair scores 1.0 outright.
+    The search grid is ``grid_size`` uniform frequencies plus both models'
+    pole angles, where a lightly damped resonance peaks.  The highest local
+    maxima are then refined together on successively finer local grids.
+    With ``strict_winding`` the admissibility condition is checked first, on
+    the same grid, and a failing pair scores 1.0 outright.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -147,10 +132,8 @@ def nugap(
     ts2 = getattr(m2, "sample_time", None)
     if ts1 != ts2:
         raise ValueError(f"models must share a sample time ({ts1} != {ts2})")
-    _screen_unit_circle_poles(m1)
-    _screen_unit_circle_poles(m2)
-
-    omegas = np.linspace(0.0, np.pi, grid_size)
+    poles = np.concatenate([_pole_angles(m1), _pole_angles(m2)])
+    omegas = np.union1d(np.linspace(0.0, np.pi, grid_size), poles)
     P1, P2 = _response_columns(m1, omegas), _response_columns(m2, omegas)
     if strict_winding:
         winding, min_mag = _winding_number(P1, P2)
@@ -158,25 +141,25 @@ def nugap(
             return 1.0
 
     d = _chordal_grid(P1, P2)
-    k = int(np.argmax(d))
-    best = float(d[k])
-
-    def at(w: float) -> float:
-        return float(_chordal_grid(_response_columns(m1, [w]), _response_columns(m2, [w]))[0])
-
-    lo = omegas[max(k - 1, 0)]
-    hi = omegas[min(k + 1, grid_size - 1)]
-    mid = omegas[k]
-    for _ in range(REFINE_ITERATIONS):
-        wl = 0.5 * (lo + mid)
-        wr = 0.5 * (mid + hi)
-        fl, fr = at(wl), at(wr)
-        if fl > best and fl >= fr:
-            hi, mid, best = mid, wl, fl
-        elif fr > best:
-            lo, mid, best = mid, wr, fr
-        else:
-            lo, hi = wl, wr
+    edged = np.concatenate([[-np.inf], d, [-np.inf]])
+    peaks = np.flatnonzero((d >= edged[:-2]) & (d >= edged[2:]))
+    peaks = peaks[np.argsort(-d[peaks], kind="stable")[:_REFINE_PEAKS]]
+    best = float(d.max())
+    # a peak's neighbours lie within one uniform step, even where two pole angles
+    # nearly coincide; each round keeps the two cells around a row's maximum
+    step = np.pi / (grid_size - 1)
+    lo = np.maximum(omegas[peaks] - step, 0.0)
+    hi = np.minimum(omegas[peaks] + step, np.pi)
+    rows = np.arange(len(peaks))
+    for _ in range(_REFINE_ROUNDS):
+        w = np.linspace(lo, hi, _REFINE_POINTS, axis=1)
+        dw = _chordal_grid(
+            _response_columns(m1, w.ravel()), _response_columns(m2, w.ravel())
+        ).reshape(w.shape)
+        k = np.argmax(dw, axis=1)
+        best = max(best, float(dw.max()))
+        lo = w[rows, np.maximum(k - 1, 0)]
+        hi = w[rows, np.minimum(k + 1, _REFINE_POINTS - 1)]
     return float(min(max(best, 0.0), 1.0))
 
 

@@ -312,7 +312,11 @@ def write_csv(dataset: TimeSeriesDataset, path) -> None:
 
 def read_csv(path, label: str | None = None) -> TimeSeriesDataset:
     """Read a dataset CSV produced by :func:`write_csv` (or equivalent)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    if len(lines) < 2:  # a header and at least one row
+        raise ValueError(f"{path}: dataset is empty")
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     required = ("t", "r", "u", "y")
     names = data.dtype.names or ()
     if any(col not in names for col in required):
