@@ -8,13 +8,11 @@ parameter set with the Vinnicombe nu-gap metric.
 """
 
 from .lti import (
-    DiscretePolynomial,
     DiscreteTransferFunction,
     InvalidModelError,
     NearPoleError,
     SimoModel,
     frequency_response,
-    pole_magnitudes,
     simulate,
 )
 from .coding import (
@@ -48,8 +46,6 @@ from .twin import (
     SimulationDivergedError,
     TimeSeriesDataset,
     generate_campaign,
-    peltier_derivatives,
-    peltier_heat_flows,
     simulate_closed_loop,
 )
 from .sysid import (

@@ -1,9 +1,9 @@
 """Discrete-time LTI building blocks.
 
-Polynomials and transfer functions are expressed in the unit-delay
-operator: ``coeffs[k]`` multiplies ``z^-k``, so a coefficient vector reads
-left to right from the undelayed tap to the most delayed one.  All values
-are immutable; every operation here is a pure function, safe to call
+Polynomials are plain coefficient arrays in the unit-delay operator:
+``c[k]`` multiplies ``z^-k``, so a coefficient vector reads left to right
+from the undelayed tap to the most delayed one.  Models hold read-only
+arrays; every operation here is a pure function, safe to call
 concurrently.
 """
 
@@ -30,50 +30,31 @@ class NearPoleError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
-class DiscretePolynomial:
-    """Polynomial in the delay operator; ``coeffs[k]`` is the z^-k tap."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        if not all(np.isfinite(coeffs)):
-            raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
-
-    def eval_delay(self, x):
-        """Evaluate sum_k coeffs[k] * x**k (x plays the role of z^-1)."""
-        return np.polyval(self.as_array()[::-1], x)
+def coefficients(values) -> np.ndarray:
+    """Read-only float64 copy of a coefficient vector, checked non-empty and finite."""
+    c = np.array(values, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("a polynomial needs a non-empty 1-D coefficient vector")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("polynomial coefficients must be finite")
+    c.setflags(write=False)
+    return c
 
 
-def _as_poly(p) -> DiscretePolynomial:
-    return p if isinstance(p, DiscretePolynomial) else DiscretePolynomial(p)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTransferFunction:
     """Rational transfer function N(z^-1)/D(z^-1) at a fixed sample time."""
 
-    numerator: DiscretePolynomial
-    denominator: DiscretePolynomial
+    numerator: np.ndarray
+    denominator: np.ndarray
     sample_time: float
 
     def __init__(self, numerator, denominator, sample_time: float):
         sample_time = float(sample_time)
         if not (sample_time > 0.0):
             raise ValueError(f"sample_time must be > 0, got {sample_time}")
-        object.__setattr__(self, "numerator", _as_poly(numerator))
-        object.__setattr__(self, "denominator", _as_poly(denominator))
+        object.__setattr__(self, "numerator", coefficients(numerator))
+        object.__setattr__(self, "denominator", coefficients(denominator))
         object.__setattr__(self, "sample_time", sample_time)
 
 
@@ -129,11 +110,11 @@ def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:
     u = np.asarray(input, dtype=float)
     if u.size == 0:
         raise ValueError("input sequence must be non-empty")
-    if tf.denominator.coeffs[0] != 1.0:
+    if tf.denominator[0] != 1.0:
         raise InvalidModelError(
-            f"denominator z^0 coefficient must be 1, got {tf.denominator.coeffs[0]}"
+            f"denominator z^0 coefficient must be 1, got {tf.denominator[0]}"
         )
-    return lfilter(tf.numerator.as_array(), tf.denominator.as_array(), u)
+    return lfilter(tf.numerator, tf.denominator, u)
 
 
 def frequency_response(tf: DiscreteTransferFunction, omegas) -> np.ndarray:
@@ -142,30 +123,10 @@ def frequency_response(tf: DiscreteTransferFunction, omegas) -> np.ndarray:
     if np.any(w < 0.0) or np.any(w > np.pi):
         raise ValueError("frequencies must lie in [0, pi] rad/sample")
     x = np.exp(-1j * w)
-    num = tf.numerator.eval_delay(x)
-    den = tf.denominator.eval_delay(x)
+    num = np.polyval(tf.numerator[::-1], x)
+    den = np.polyval(tf.denominator[::-1], x)
     bad = np.abs(den) < 1e-300
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NearPoleError(w[k], float(np.abs(den[k])))
     return num / den
-
-
-def pole_magnitudes(p: DiscretePolynomial) -> np.ndarray:
-    """Magnitudes of the roots of a delay-operator polynomial, descending.
-
-    Roots are taken in the z plane (the polynomial is cleared of negative
-    powers first) and computed as companion-matrix eigenvalues, which stays
-    well behaved for roots hugging the unit circle.
-    """
-    p = _as_poly(p)
-    if p.degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    c = p.as_array()
-    if not np.any(c):
-        raise ValueError("zero polynomial has no roots")
-    # coeffs are already ordered by descending power of z once z^-k terms
-    # are cleared by z^degree
-    roots = np.roots(c)
-    mags = np.abs(roots)
-    return np.sort(mags)[::-1]

@@ -79,7 +79,7 @@ def _label_of(model) -> str:
 
 def _pole_angles(model) -> np.ndarray:
     """Angles in [0, pi] of a model's poles; raises UnitCirclePoleError on the circle."""
-    roots = np.concatenate([np.roots(tf.denominator.as_array()) for tf in _channels(model)])
+    roots = np.concatenate([np.roots(tf.denominator) for tf in _channels(model)])
     near = np.abs(np.abs(roots) - 1.0) < _UNIT_CIRCLE_TOL
     if np.any(near):
         raise UnitCirclePoleError(_label_of(model), abs(np.angle(roots[np.argmax(near)])))

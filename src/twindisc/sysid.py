@@ -22,9 +22,9 @@ from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .lm import CONVERGED_REASONS, multistart
 from .lti import (
-    DiscretePolynomial,
     DiscreteTransferFunction,
     SimoModel,
+    coefficients,
     denominator_band,
     forward_solve,
     lfilter,
@@ -77,27 +77,28 @@ def _coerce_order(order) -> OrderSpec:
     return order if isinstance(order, OrderSpec) else OrderSpec.from_label(order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxJenkinsModel:
     """y = (B/F) u + (C/D) e with monic C, D, F and nk leading zeros in B."""
 
-    b: DiscretePolynomial
-    c: DiscretePolynomial
-    d: DiscretePolynomial
-    f: DiscretePolynomial
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    f: np.ndarray
     delay: int
     sample_time: float
 
     def __post_init__(self):
+        for name in ("b", "c", "d", "f"):
+            object.__setattr__(self, name, coefficients(getattr(self, name)))
         for name in ("c", "d", "f"):
-            poly = getattr(self, name)
-            if poly.coeffs[0] != 1.0:
+            if getattr(self, name)[0] != 1.0:
                 raise ValueError(f"{name} polynomial must be monic at z^0")
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
-        if len(self.b.coeffs) <= self.delay:
+        if self.b.size <= self.delay:
             raise ValueError("b must have coefficients beyond the delay zeros")
-        if any(self.b.coeffs[k] != 0.0 for k in range(self.delay)):
+        if np.any(self.b[: self.delay] != 0.0):
             raise ValueError(f"b must start with {self.delay} zero coefficients")
         if self.sample_time <= 0.0:
             raise ValueError("sample_time must be > 0")
@@ -106,10 +107,10 @@ class BoxJenkinsModel:
     def n_params(self) -> int:
         """Estimated coefficients: all of B, C, D, F minus fixed 1s and delay zeros."""
         return (
-            (len(self.b.coeffs) - self.delay)
-            + (len(self.c.coeffs) - 1)
-            + (len(self.d.coeffs) - 1)
-            + (len(self.f.coeffs) - 1)
+            (self.b.size - self.delay)
+            + (self.c.size - 1)
+            + (self.d.size - 1)
+            + (self.f.size - 1)
         )
 
     @property
@@ -257,14 +258,7 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     phi = _delayed(lfilter([1.0], f, u), order.nk, order.nb)
     b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
     residuals = y - lfilter(b, f, u)
-    model = BoxJenkinsModel(
-        b=DiscretePolynomial(b),
-        c=DiscretePolynomial([1.0]),
-        d=DiscretePolynomial([1.0]),
-        f=DiscretePolynomial(f),
-        delay=order.nk,
-        sample_time=1.0,
-    )
+    model = BoxJenkinsModel(b=b, c=[1.0], d=[1.0], f=f, delay=order.nk, sample_time=1.0)
     return FitResult(
         model=model,
         sim_residuals=residuals,
@@ -289,7 +283,7 @@ def fit_noise_model(residuals, nc: int, nd: int):
         raise ValueError("nc and nd must be >= 1")
     v = np.asarray(residuals, dtype=float).ravel()
     if v.size == 0 or float(np.max(np.abs(v))) < 1e-300:
-        return DiscretePolynomial([1.0] + [0.0] * nc), DiscretePolynomial([1.0] + [0.0] * nd)
+        return np.concatenate([[1.0], np.zeros(nc)]), np.concatenate([[1.0], np.zeros(nd)])
     if v.size < 10 * (nc + nd):
         raise ValueError(
             f"need at least {10 * (nc + nd)} residuals for nc={nc}, nd={nd}, got {v.size}"
@@ -307,15 +301,15 @@ def fit_noise_model(residuals, nc: int, nd: int):
 
     d = _project_stable(np.concatenate([[1.0], theta[:nd]]))
     c = _project_stable(np.concatenate([[1.0], theta[nd:]]))
-    return DiscretePolynomial(c), DiscretePolynomial(d)
+    return c, d
 
 
 def one_step_residuals(model: BoxJenkinsModel, u, y) -> np.ndarray:
     """One-step prediction errors of the full BJ model: e = (D/C)(y - (B/F)u)."""
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    v = y - lfilter(model.b.as_array(), model.f.as_array(), u)
-    return lfilter(model.d.as_array(), model.c.as_array(), v)
+    v = y - lfilter(model.b, model.f, u)
+    return lfilter(model.d, model.c, v)
 
 
 @dataclass(frozen=True)
@@ -370,7 +364,7 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
                 continue
             fits[(order.label, ch)] = fit
             per_channel[ch] = fit
-            prev[ch] = (order, fit.model.f.as_array()[1:])
+            prev[ch] = (order, fit.model.f[1:])
         if "y" in per_channel and "u" in per_channel:
             models[order.label] = SimoModel(
                 tf_y=per_channel["y"].model.deterministic_tf,

@@ -160,31 +160,6 @@ class TimeSeriesDataset:
         return int(self.t.size)
 
 
-def peltier_heat_flows(state, current: float, p: PeltierParams) -> tuple[float, float]:
-    """Module heat flows (q_a, q_b) leaving each face, in watts.
-
-    Temperatures enter the Seebeck terms in kelvin; the conduction terms
-    only see the face difference.  Summing the pair cancels conduction
-    exactly: q_a + q_b = alpha*I*(T_A + T_B)[K] - I^2 R.
-    """
-    t_a, t_b = float(state[0]), float(state[1])
-    joule_half = 0.5 * current * current * p.r_ohm
-    q_a = p.alpha * (t_a + KELVIN_OFFSET) * current - joule_half + p.k_cond * (t_a - t_b)
-    q_b = p.alpha * (t_b + KELVIN_OFFSET) * current - joule_half + p.k_cond * (t_b - t_a)
-    return q_a, q_b
-
-
-def peltier_derivatives(
-    state, current: float, p: PeltierParams, cfg: SimConfig
-) -> tuple[float, float]:
-    """Time derivatives (dT_A/dt, dT_B/dt) in degC/s for one module state."""
-    t_a, t_b = float(state[0]), float(state[1])
-    q_a, q_b = peltier_heat_flows(state, current, p)
-    d_a = (-q_a - cfg.surface_conductance * (t_a - cfg.ambient)) / p.c_heat
-    d_b = (-q_b - cfg.heatsink_conductance * (t_b - cfg.ambient)) / p.c_heat
-    return d_a, d_b
-
-
 def simulate_closed_loop(
     p: PeltierParams, cfg: SimConfig, reference=None
 ) -> TimeSeriesDataset:

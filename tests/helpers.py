@@ -1,9 +1,10 @@
-"""Shared test utilities: random stable systems and reference fixtures."""
+"""Shared test utilities: random stable systems, oracles and reference fixtures."""
 
 import numpy as np
 
-from twindisc.lti import DiscretePolynomial, DiscreteTransferFunction, SimoModel
+from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.sysid import BoxJenkinsModel
+from twindisc.twin import KELVIN_OFFSET
 
 
 def random_stable_poly(rng, degree, max_radius=0.9):
@@ -22,7 +23,7 @@ def random_stable_poly(rng, degree, max_radius=0.9):
             remaining -= 1
     coeffs = np.real(np.poly(roots))
     coeffs[0] = 1.0
-    return DiscretePolynomial(coeffs)
+    return coeffs
 
 
 def random_stable_tf(rng, degree=2, sample_time=1.0, max_radius=0.9):
@@ -46,13 +47,92 @@ def static_gain_model(gain, sample_time=1.0):
 def bj_from_rows(rows, sample_time=1.0, delay=1):
     """Build a BoxJenkinsModel from raw coefficient rows {b, c, d, f}."""
     return BoxJenkinsModel(
-        b=DiscretePolynomial(rows["b"]),
-        c=DiscretePolynomial(rows["c"]),
-        d=DiscretePolynomial(rows["d"]),
-        f=DiscretePolynomial(rows["f"]),
-        delay=delay,
-        sample_time=sample_time,
+        b=rows["b"], c=rows["c"], d=rows["d"], f=rows["f"], delay=delay, sample_time=sample_time
     )
+
+
+def pole_magnitudes(coeffs) -> np.ndarray:
+    """Magnitudes of the roots of a delay-operator polynomial, descending.
+
+    Roots are taken in the z plane: clearing the z^-k terms by z^degree
+    orders the coefficients by descending power of z, as np.roots wants.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.size < 2:
+        raise ValueError("polynomial must have degree >= 1")
+    if not np.any(c):
+        raise ValueError("zero polynomial has no roots")
+    return np.sort(np.abs(np.roots(c)))[::-1]
+
+
+# The Peltier physics written out on its own, as the oracle that
+# twin.simulate_closed_loop's inlined loop is checked against.
+
+
+def peltier_heat_flows(state, current, p):
+    """Module heat flows (q_a, q_b) leaving each face, in watts.
+
+    Temperatures enter the Seebeck terms in kelvin; the conduction terms
+    only see the face difference.  Summing the pair cancels conduction
+    exactly: q_a + q_b = alpha*I*(T_A + T_B)[K] - I^2 R.
+    """
+    t_a, t_b = float(state[0]), float(state[1])
+    joule_half = 0.5 * current * current * p.r_ohm
+    q_a = p.alpha * (t_a + KELVIN_OFFSET) * current - joule_half + p.k_cond * (t_a - t_b)
+    q_b = p.alpha * (t_b + KELVIN_OFFSET) * current - joule_half + p.k_cond * (t_b - t_a)
+    return q_a, q_b
+
+
+def peltier_derivatives(state, current, p, cfg):
+    """Time derivatives (dT_A/dt, dT_B/dt) in degC/s for one module state."""
+    t_a, t_b = float(state[0]), float(state[1])
+    q_a, q_b = peltier_heat_flows(state, current, p)
+    d_a = (-q_a - cfg.surface_conductance * (t_a - cfg.ambient)) / p.c_heat
+    d_b = (-q_b - cfg.heatsink_conductance * (t_b - cfg.ambient)) / p.c_heat
+    return d_a, d_b
+
+
+def euler_reference(p, cfg, reference=None):
+    """(u, y) of the closed loop driven by peltier_derivatives.
+
+    Covers sensor noise, the kd term, both anti-windup modes, an explicit
+    reference, the sample time and the substep count; not quantization.
+    """
+    assert cfg.sensor.quantization == 0.0, "the oracle does not quantize"
+    pid = cfg.pid
+    ref = np.full(cfg.n_samples, cfg.setpoint) if reference is None else np.asarray(reference)
+    noise = np.zeros(ref.size)
+    if cfg.sensor.noise_std > 0.0:
+        noise = np.random.default_rng(cfg.sensor.seed).normal(0.0, cfg.sensor.noise_std, ref.size)
+    dt = cfg.sample_time
+    dt_sub = dt / cfg.ode_substeps
+    drive_gain = -cfg.supply_voltage / p.r_ohm / (pid.out_max - pid.out_min)
+    conditional = pid.anti_windup == "conditional"
+    state = [cfg.ambient, cfg.ambient]
+    integ = 0.0
+    prev_err = None
+    u_out, y_out = [], []
+    for k in range(ref.size):
+        y_meas = state[0] + float(noise[k])
+        err = float(ref[k]) - y_meas
+        d_term = 0.0 if prev_err is None or pid.kd == 0.0 else pid.kd * (err - prev_err) / dt
+        prev_err = err
+        new_integ = integ + pid.ki * dt * err
+        u_raw = pid.kp * err + new_integ + d_term
+        if conditional:
+            if (u_raw > pid.out_max and err > 0.0) or (u_raw < pid.out_min and err < 0.0):
+                new_integ = integ
+                u_raw = pid.kp * err + new_integ + d_term
+            new_integ = min(max(new_integ, min(pid.out_min, 0.0)), pid.out_max)
+        integ = new_integ
+        u = min(max(u_raw, pid.out_min), pid.out_max)
+        u_out.append(u)
+        y_out.append(y_meas)
+        current = (u - pid.out_min) * drive_gain
+        for _ in range(cfg.ode_substeps):
+            d_a, d_b = peltier_derivatives(state, current, p, cfg)
+            state = [state[0] + dt_sub * d_a, state[1] + dt_sub * d_b]
+    return np.array(u_out), np.array(y_out)
 
 
 # Bundled reference coefficients for the 50C operating point, exactly as

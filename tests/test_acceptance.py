@@ -28,13 +28,11 @@ from twindisc.twin import (
     SensorConfig,
     SimConfig,
     TimeSeriesDataset,
-    peltier_derivatives,
-    peltier_heat_flows,
     simulate_closed_loop,
     write_csv,
 )
 
-from helpers import random_simo, static_gain_model
+from helpers import peltier_derivatives, peltier_heat_flows, random_simo, static_gain_model
 
 TRUTH_70 = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=0.286, c_heat=11.1)
 
@@ -237,8 +235,8 @@ def test_c09_fitting_oracle():
         u = rng.standard_normal(400)
         y = scipy.signal.lfilter([0.0, 0.5], [1.0, -0.8], u)
         fit = fit_output_error(u, y, OrderSpec(nb=1, nc=1, nd=1, nf=1, nk=1))
-        assert fit.model.b.coeffs[1] == pytest.approx(0.5, abs=1e-3)
-        assert fit.model.f.coeffs[1] == pytest.approx(-0.8, abs=1e-3)
+        assert fit.model.b[1] == pytest.approx(0.5, abs=1e-3)
+        assert fit.model.f[1] == pytest.approx(-0.8, abs=1e-3)
 
         step = np.where(np.arange(500) >= 10, 1.0, 0.0)
         truth = scipy.signal.lfilter([0.0, 0.3, -0.1], [1.0, -1.3, 0.42], step)

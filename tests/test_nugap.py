@@ -64,7 +64,7 @@ def narrow_bump_pair(rng):
     def ring(r):
         return np.array([1.0, -2.0 * r * np.cos(angle), r * r])
 
-    num, den = base.tf_y.numerator.coeffs, base.tf_y.denominator.coeffs
+    num, den = base.tf_y.numerator, base.tf_y.denominator
     mode_num = 0.3 * ring(1.0 - 3.0 * (1.0 - radius))
     tf_y = DiscreteTransferFunction(
         np.convolve(num, ring(radius)) + np.convolve(mode_num, den),
@@ -79,7 +79,7 @@ def dense_gap(a, b):
     2^14 within 0.02 rad of every pole angle of either model."""
     angles = np.unique(
         [abs(np.angle(p)) for m in (a, b) for tf in (m.tf_y, m.tf_u)
-         for p in np.roots(tf.denominator.coeffs)]
+         for p in np.roots(tf.denominator)]
     )
     near = (angles[:, None] + np.linspace(-0.02, 0.02, 2**14)).ravel()
     w = np.concatenate([np.linspace(0.0, np.pi, 2**17), np.clip(near, 0.0, np.pi)])
@@ -192,7 +192,7 @@ class TestNugap:
     def test_strict_winding_agrees_on_close_stable_pairs(self):
         rng = np.random.default_rng(6)
         base = random_stable_tf(rng, degree=2)
-        num = np.asarray(base.numerator.coeffs) * 1.02
+        num = base.numerator * 1.02
         near = DiscreteTransferFunction(num, base.denominator, base.sample_time)
         assert nugap(base, near, grid_size=256, strict_winding=True) == pytest.approx(
             nugap(base, near, grid_size=256), abs=1e-9

@@ -15,14 +15,12 @@ from twindisc.twin import (
     SimConfig,
     TimeSeriesDataset,
     generate_campaign,
-    peltier_derivatives,
-    peltier_heat_flows,
     read_csv,
     simulate_closed_loop,
     write_csv,
 )
 
-from helpers import MATCHED_SETS
+from helpers import MATCHED_SETS, euler_reference, peltier_derivatives, peltier_heat_flows
 
 
 def params_for(setpoint):
@@ -200,34 +198,6 @@ def pinned_run(name):
     )
 
 
-def euler_reference(p, cfg):
-    """Closed loop driven by peltier_derivatives, the one physics definition."""
-    pid = cfg.pid
-    dt = cfg.sample_time
-    dt_sub = dt / cfg.ode_substeps
-    drive_gain = -cfg.supply_voltage / p.r_ohm / (pid.out_max - pid.out_min)
-    state = [cfg.ambient, cfg.ambient]
-    integ = 0.0
-    u_out, y_out = [], []
-    for _ in range(cfg.n_samples):
-        y_meas = state[0]
-        err = cfg.setpoint - y_meas
-        new_integ = integ + pid.ki * dt * err
-        u_raw = pid.kp * err + new_integ
-        if (u_raw > pid.out_max and err > 0.0) or (u_raw < pid.out_min and err < 0.0):
-            new_integ = integ
-            u_raw = pid.kp * err + new_integ
-        integ = min(max(new_integ, min(pid.out_min, 0.0)), pid.out_max)
-        u = min(max(u_raw, pid.out_min), pid.out_max)
-        u_out.append(u)
-        y_out.append(y_meas)
-        current = (u - pid.out_min) * drive_gain
-        for _ in range(cfg.ode_substeps):
-            d_a, d_b = peltier_derivatives(state, current, p, cfg)
-            state = [state[0] + dt_sub * d_a, state[1] + dt_sub * d_b]
-    return np.array(u_out), np.array(y_out)
-
-
 class TestBitPins:
     @pytest.mark.parametrize("name", sorted(PINNED_CASES))
     def test_outputs_match_pinned_digest(self, name):
@@ -241,6 +211,21 @@ class TestBitPins:
         cfg = clean_cfg(setpoint)
         ds = simulate_closed_loop(p, cfg)
         u_ref, y_ref = euler_reference(p, cfg)
+        np.testing.assert_allclose(ds.y, y_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ds.u, u_ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        # the oracle does not quantize: a rounding boundary would turn a
+        # last-bit difference into a whole quantization step
+        [n for n, (_, kw, _) in sorted(PINNED_CASES.items())
+         if "sensor" not in kw or kw["sensor"].quantization == 0.0],
+    )
+    def test_pinned_case_agrees_with_oracle(self, name):
+        setpoint, kw, reference = PINNED_CASES[name]
+        cfg = SimConfig(setpoint=setpoint, **kw)
+        ds = pinned_run(name)
+        u_ref, y_ref = euler_reference(params_for(setpoint), cfg, reference)
         np.testing.assert_allclose(ds.y, y_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(ds.u, u_ref, rtol=1e-12, atol=0.0)
 
