@@ -21,7 +21,13 @@ import jsonschema
 import numpy as np
 
 from . import coding, configio, criteria, matching, sysid, twin
-from .nugap import DEFAULT_GRID_SIZE, UnitCirclePoleError, argmin_cumulative, select_nominal
+from .nugap import (
+    DEFAULT_GRID_SIZE,
+    MAX_GRID_SIZE,
+    UnitCirclePoleError,
+    argmin_cumulative,
+    select_nominal,
+)
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -55,8 +61,8 @@ class DiscriminateOptions:
             if self.orders.count(label) > 1:
                 raise ValueError(f"order {label} is listed more than once")
         coding.encode_number(0.0, self.precision)  # the codec's own range check
-        if self.nugap_grid < 64:
-            raise ValueError("nugap_grid must be >= 64")
+        if not 64 <= self.nugap_grid <= MAX_GRID_SIZE:
+            raise ValueError(f"nugap_grid must be >= 64 and <= {MAX_GRID_SIZE}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.naic_form not in criteria.NAIC_FORMS:

@@ -57,6 +57,14 @@ _PID_KEYS = {key: key for key in ("kp", "ki", "kd", "out_min", "out_max", "anti_
 _SENSOR_KEYS = {"quantization_c": "quantization", "noise_std_c": "noise_std"}
 
 
+def _check_keys(parser, path, section, known) -> None:
+    """Reject keys the loader does not read: a misspelled key would keep its default."""
+    if parser.has_section(section):
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown key")
+
+
 def _fields(parser, section, cls, keys) -> dict:
     """Field values of ``cls`` read from ``section``, each cast like its default."""
     return {
@@ -72,6 +80,9 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
     swaps in the others.
     """
     parser = _read_ini(path)
+    _check_keys(parser, path, "simulation", {"setpoints", *_SIM_KEYS})
+    _check_keys(parser, path, "pid", _PID_KEYS)
+    _check_keys(parser, path, "sensor", _SENSOR_KEYS)
     try:
         raw = parser.get("simulation", "setpoints", fallback="30, 50, 70, 90")
         setpoints = tuple(float(tok) for tok in raw.replace(",", " ").split())
@@ -122,6 +133,7 @@ def load_params_file(path) -> dict[float, PeltierParams]:
     complete on its own.
     """
     parser = _read_ini(path)
+    _check_keys(parser, path, "peltier", _PARAM_KEYS)
     base: dict = {}
     if parser.has_section("peltier"):
         base = _params_from_section(parser, "peltier", {})
@@ -133,6 +145,11 @@ def load_params_file(path) -> dict[float, PeltierParams]:
             sp = float(section.split(".", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"{path}: bad setpoint section [{section}]") from exc
+        if not math.isfinite(sp):
+            raise ConfigError(f"{path}: [{section}] setpoint is not a finite number")
+        if sp in result:
+            raise ConfigError(f"{path}: [{section}] repeats setpoint {sp:g}")
+        _check_keys(parser, path, section, _PARAM_KEYS)
         values = _params_from_section(parser, section, base)
         missing = [k for k, n in _PARAM_KEYS.items() if n not in values]
         if missing:

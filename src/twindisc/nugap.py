@@ -16,6 +16,7 @@ import numpy as np
 from . import lti
 
 DEFAULT_GRID_SIZE = 2048
+MAX_GRID_SIZE = 65536
 _REFINE_PEAKS = 4
 _REFINE_ROUNDS = 5
 _REFINE_POINTS = 33
@@ -126,8 +127,8 @@ def nugap(
     With ``strict_winding`` the admissibility condition is checked first, on
     the same grid, and a failing pair scores 1.0 outright.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
+    if not 64 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be >= 64 and <= {MAX_GRID_SIZE}")
     ts1 = getattr(m1, "sample_time", None)
     ts2 = getattr(m2, "sample_time", None)
     if ts1 != ts2:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 KELVIN_OFFSET = 273.15
+MAX_SAMPLES = 1_000_000
 
 
 class SimulationDivergedError(RuntimeError):
@@ -105,6 +106,8 @@ class SimConfig:
             raise ValueError("sample_time must be > 0")
         if self.duration / self.sample_time < 50:
             raise ValueError("need at least 50 samples (duration/sample_time)")
+        if self.duration / self.sample_time > MAX_SAMPLES:
+            raise ValueError(f"at most {MAX_SAMPLES} samples (duration/sample_time)")
         if self.ode_substeps < 1:
             raise ValueError("ode_substeps must be >= 1")
         if self.supply_voltage <= 0.0:

@@ -170,6 +170,33 @@ class TestSimulateCommand:
         assert "setpoint 70 is listed more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, params, message",
+        [
+            ("[simulation]\nsetpoints = 30\nduration = 300\n", PARAMS,
+             "[simulation] duration: unknown key"),
+            (CONFIG + "seed = 5\n", PARAMS, "[sensor] seed: unknown key"),
+            (CONFIG, PARAMS + "[peltier.30]\n[peltier.30.0]\n",
+             "[peltier.30.0] repeats setpoint 30"),
+            ("[simulation]\nsetpoints = 30\nduration_s = 1000001\n", PARAMS,
+             "at most 1000000 samples"),
+        ],
+        ids=["unknown_sim_key", "unknown_sensor_key", "repeated_setpoint_section",
+             "too_many_samples"],
+    )
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, config, params, message):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(config)
+        params_path = tmp_path / "params.ini"
+        params_path.write_text(params)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["simulate", "--config", str(cfg), "--params", str(params_path), "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.ini"
         cfg.write_text(CONFIG)
@@ -435,6 +462,20 @@ class TestDiscriminateCommand:
         )
         assert code == 2
         assert "error: precision must be <= 18" in capsys.readouterr().err
+        assert list(tmp_path.glob("r*")) == []
+
+    def test_nugap_grid_above_bound_is_rejected_before_any_work(
+        self, tmp_path, campaign_files, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+        )
+        out = tmp_path / "r"
+        code = cli.main(
+            ["discriminate", *campaign_files, "--out", str(out), "--nugap-grid", "65537"]
+        )
+        assert code == 2
+        assert "error: nugap_grid must be >= 64 and <= 65536" in capsys.readouterr().err
         assert list(tmp_path.glob("r*")) == []
 
     def test_out_naming_a_directory_is_usage_error_before_any_work(

@@ -108,6 +108,12 @@ class TestSimConfigFile:
         with pytest.raises(ConfigError):
             load_sim_config(tmp_path / "absent.ini")
 
+    def test_unknown_key_names_section_and_key(self, tmp_path):
+        path = tmp_path / "sim.ini"
+        path.write_text(GOOD_SIM.replace("[pid]\n", "[pid]\nkp_gain = 5\n"))
+        with pytest.raises(ConfigError, match=r"\[pid\] kp_gain: unknown key"):
+            load_sim_config(path)
+
 
 class TestParamsFile:
     def test_per_setpoint_sections_with_shared_base(self, tmp_path):
@@ -141,6 +147,33 @@ class TestParamsFile:
         params = load_params_file(path)
         with pytest.raises(ConfigError, match="no parameter set"):
             params_for_setpoint(params, 70.0)
+
+    @pytest.mark.parametrize("first, second", [("30", "30.0"), ("50", "5e1")])
+    def test_repeated_setpoint_section_rejected(self, tmp_path, first, second):
+        path = tmp_path / "params.ini"
+        path.write_text(
+            GOOD_PARAMS.replace(f"[peltier.{first}]", f"[peltier.{second}]")
+            + f"\n[peltier.{first}]\nalpha_v_per_k = 0.05\nk_w_per_k = 0.3\nc_j_per_k = 12\n"
+        )
+        with pytest.raises(ConfigError, match="repeats setpoint"):
+            load_params_file(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_setpoint_section_rejected(self, tmp_path, text):
+        path = tmp_path / "params.ini"
+        path.write_text(
+            GOOD_PARAMS + f"\n[peltier.{text}]\nalpha_v_per_k = 0.05\nk_w_per_k = 0.3\n"
+            "c_j_per_k = 12\n"
+        )
+        with pytest.raises(ConfigError, match="not a finite number"):
+            load_params_file(path)
+
+    @pytest.mark.parametrize("section", ["peltier", "peltier.30"])
+    def test_unknown_key_names_section_and_key(self, tmp_path, section):
+        path = tmp_path / "params.ini"
+        path.write_text(GOOD_PARAMS.replace(f"[{section}]\n", f"[{section}]\nalpha = 0.1\n"))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] alpha: unknown key"):
+            load_params_file(path)
 
     def test_invalid_physical_value(self, tmp_path):
         path = tmp_path / "neg.ini"

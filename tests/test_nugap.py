@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.nugap import (
+    MAX_GRID_SIZE,
     NuGapMatrix,
     UnitCirclePoleError,
     argmin_cumulative,
@@ -182,6 +183,10 @@ class TestNugap:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             nugap(static_gain_model(0.0), static_gain_model(1.0), grid_size=32)
+
+    def test_grid_above_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"grid_size must be >= 64 and <= {MAX_GRID_SIZE}"):
+            nugap(static_gain_model(0.0), static_gain_model(1.0), grid_size=MAX_GRID_SIZE + 1)
 
     def test_unit_circle_pole_raises(self):
         integrator = DiscreteTransferFunction([0.0, 1.0], [1.0, -1.0], 1.0)

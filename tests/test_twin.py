@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twindisc.twin import (
     KELVIN_OFFSET,
+    MAX_SAMPLES,
     PeltierParams,
     PidConfig,
     SensorConfig,
@@ -147,6 +148,12 @@ class TestClosedLoop:
             PidConfig(out_min=255.0, out_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(setpoint=50.0, ode_substeps=0)
+
+    def test_sample_count_above_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES} samples"):
+            SimConfig(setpoint=50.0, duration=MAX_SAMPLES + 1.0)
+        with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES} samples"):
+            SimConfig(setpoint=50.0, duration=MAX_SAMPLES / 2 + 0.5, sample_time=0.5)
 
     def test_negative_sensor_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
