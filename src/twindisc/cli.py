@@ -83,17 +83,16 @@ def _atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _check_out_paths(*paths: str) -> bool:
-    """Check the files a command will write, before any work; print the first usage error."""
+def _check_out_paths(*paths: str) -> None:
+    """Check the files a command will write, before any work."""
     for path in paths:
+        if not os.path.basename(path):
+            raise ValueError(f"output path {path!r} names no file")
         out_dir = os.path.dirname(path) or "."
         if not os.path.isdir(out_dir):
-            print(f"error: output directory {out_dir!r} does not exist", file=sys.stderr)
-            return False
+            raise ValueError(f"output directory {out_dir!r} does not exist")
         if os.path.isdir(path):
-            print(f"error: output path {path!r} is a directory", file=sys.stderr)
-            return False
-    return True
+            raise ValueError(f"output path {path!r} is a directory")
 
 
 def _sha256_file(path: str) -> str:
@@ -326,99 +325,83 @@ def write_report(report: dict, out_path: str) -> tuple[str, str]:
     return json_path, csv_path
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        base_cfg, setpoints = configio.load_sim_config(args.config)
-        params_map = configio.load_params_file(args.params)
-        by_setpoint = {
-            sp: configio.params_for_setpoint(params_map, sp, args.params)
-            for sp in setpoints
-        }
-    except configio.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+        raise ValueError("--seed must be >= 0")
+    base_cfg, setpoints = configio.load_sim_config(args.config)
+    params_map = configio.load_params_file(args.params)
+    by_setpoint = {
+        sp: configio.params_for_setpoint(params_map, sp, args.params) for sp in setpoints
+    }
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"error: --out-dir: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        raise OSError(f"--out-dir: {exc}") from exc
+
+    def work():
         datasets = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
-    except twin.SimulationDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        entries = []
+        for i, ds in enumerate(datasets):
+            name = f"dataset_{ds.label}.csv"
+            path = os.path.join(args.out_dir, name)
+            tmp = f"{path}.tmp"
+            twin.write_csv(ds, tmp)
+            os.replace(tmp, path)
+            entries.append({"label": ds.label, "file": name, "sensor_seed": args.seed + i})
+            print(f"wrote {path} ({len(ds)} samples)")
 
-    entries = []
-    for i, ds in enumerate(datasets):
-        name = f"dataset_{ds.label}.csv"
-        path = os.path.join(args.out_dir, name)
-        tmp = f"{path}.tmp"
-        twin.write_csv(ds, tmp)
-        os.replace(tmp, path)
-        entries.append({"label": ds.label, "file": name, "sensor_seed": args.seed + i})
-        print(f"wrote {path} ({len(ds)} samples)")
+        manifest = {
+            "seed": args.seed,
+            "config": os.path.basename(args.config),
+            "config_sha256": _sha256_file(args.config),
+            "params": os.path.basename(args.params),
+            "params_sha256": _sha256_file(args.params),
+            "datasets": entries,
+        }
+        manifest_path = os.path.join(args.out_dir, "manifest.json")
+        _atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
+        print(f"wrote {manifest_path}")
 
-    manifest = {
-        "seed": args.seed,
-        "config": os.path.basename(args.config),
-        "config_sha256": _sha256_file(args.config),
-        "params": os.path.basename(args.params),
-        "params_sha256": _sha256_file(args.params),
-        "datasets": entries,
-    }
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {manifest_path}")
-    return EXIT_OK
+    return work
 
 
-def cmd_discriminate(args) -> int:
-    try:
-        opts = DiscriminateOptions(
-            orders=tuple(args.orders.split(",")),
-            precision=args.precision,
-            naic_form=args.naic_form,
-            nugap_grid=args.nugap_grid,
-            strict_winding=args.strict_winding,
-            seed=args.seed,
-            residual_source=args.residuals,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not _check_out_paths(*_report_paths(args.out)):
-        return EXIT_USAGE
+def cmd_discriminate(args):
+    opts = DiscriminateOptions(
+        orders=tuple(args.orders.split(",")),
+        precision=args.precision,
+        naic_form=args.naic_form,
+        nugap_grid=args.nugap_grid,
+        strict_winding=args.strict_winding,
+        seed=args.seed,
+        residual_source=args.residuals,
+    )
+    _check_out_paths(*_report_paths(args.out))
+    # a dataset that cannot be read goes into the report's errors, as long
+    # as another one can
     datasets = []
     load_errors = []
     for path in args.datasets:
         try:
             datasets.append(twin.read_csv(path))
         except (OSError, ValueError) as exc:
-            load_errors.append(f"{path}: {exc}")
+            load_errors.append(str(exc))
     if not datasets:
-        for msg in load_errors:
-            print(f"error: {msg}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("; ".join(load_errors))
     labels = [ds.label for ds in datasets]
     for label in labels:
         if labels.count(label) > 1:
-            print(f"error: dataset label {label!r} is given more than once", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"dataset label {label!r} is given more than once")
 
-    report = discriminate_datasets(datasets, opts)
-    report["errors"] = load_errors + report["errors"]
-    json_path, csv_path = write_report(report, args.out)
-    print(f"wrote {json_path}")
-    print(f"wrote {csv_path}")
-    if not report["datasets"]:
-        for msg in report["errors"]:
-            print(f"error: {msg}", file=sys.stderr)
-        return EXIT_COMPUTE
-    return EXIT_OK
+    def work():
+        report = discriminate_datasets(datasets, opts)
+        errors = report["errors"] = load_errors + report["errors"]
+        json_path, csv_path = write_report(report, args.out)
+        print(f"wrote {json_path}")
+        print(f"wrote {csv_path}")
+        if not report["datasets"]:
+            raise sysid.FitFailureError("no dataset was identified: " + "; ".join(errors))
+
+    return work
 
 
 def _parse_initial(text: str) -> twin.PeltierParams:
@@ -437,65 +420,46 @@ def _parse_initial(text: str) -> twin.PeltierParams:
     )
 
 
-def cmd_match(args) -> int:
-    if not _check_out_paths(args.out):
-        return EXIT_USAGE
-    try:
-        dataset = twin.read_csv(args.dataset)
-    except (OSError, ValueError) as exc:
-        print(f"error: {args.dataset}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    sim_config = None
-    if args.config:
-        try:
-            sim_config, _ = configio.load_sim_config(args.config)
-        except configio.ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    try:
-        initial = _parse_initial(args.initial)
-        weights = (1.0, 1.0) if args.channels == "yu" else (1.0, 0.0)
-        problem = matching.MatchProblem(
-            dataset=dataset, initial=initial, weights=weights, sim_config=sim_config
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+def cmd_match(args):
+    _check_out_paths(args.out)
+    dataset = twin.read_csv(args.dataset)
+    sim_config = configio.load_sim_config(args.config)[0] if args.config else None
+    problem = matching.MatchProblem(
+        dataset=dataset,
+        initial=_parse_initial(args.initial),
+        weights=(1.0, 1.0) if args.channels == "yu" else (1.0, 0.0),
+        sim_config=sim_config,
+    )
     if not args.config:
         pid = problem.sim_config.pid
         print(f"note: no --config given, so the twin runs the default PID gains kp={pid.kp:g} "
               f"ki={pid.ki:g} kd={pid.kd:g}; pass --config if other gains recorded the data",
               file=sys.stderr)
-    try:
-        result = matching.match_parameters(problem)
-    except matching.MatchFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
 
-    payload = {
-        "dataset": dataset.label,
-        "n_samples": len(dataset),
-        "initial": args.initial,
-        "channels": args.channels,
-        "params": {
-            "alpha_v_per_k": result.params.alpha,
-            "r_ohm": result.params.r_ohm,
-            "k_w_per_k": result.params.k_cond,
-            "c_j_per_k": result.params.c_heat,
-        },
-        "sse": result.sse,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "at_bound": result.at_bound,
-        "start_index": result.start_index,
-        "start_costs": [(_num(c)) for c in result.start_costs],
-    }
-    _atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    def work():
+        result = matching.match_parameters(problem)
+        payload = {
+            "dataset": dataset.label,
+            "n_samples": len(dataset),
+            "initial": args.initial,
+            "channels": args.channels,
+            "params": {
+                "alpha_v_per_k": result.params.alpha,
+                "r_ohm": result.params.r_ohm,
+                "k_w_per_k": result.params.k_cond,
+                "c_j_per_k": result.params.c_heat,
+            },
+            "sse": result.sse,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "at_bound": result.at_bound,
+            "start_index": result.start_index,
+            "start_costs": [(_num(c)) for c in result.start_costs],
+        }
+        _atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {args.out}")
+
+    return work
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,8 +503,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and map its outcome to the exit-code contract.
+
+    Each ``cmd_*`` reads and checks all of its input, then returns its work
+    as a function of no arguments.  A ValueError or OSError while reading
+    the input is a usage error; a simulation that diverges, a match that
+    fails or a campaign with no identified dataset is a compute failure.
+    Any other exception is a bug and propagates.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        work = args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        work()
+    except (
+        twin.SimulationDivergedError, matching.MatchFailureError, sysid.FitFailureError
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

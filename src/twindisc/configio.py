@@ -19,27 +19,30 @@ class ConfigError(ValueError):
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is a value that fails to parse
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc  # the parser's message names the file
     return parser
 
 
-def _get(parser, section, key, cast, default):
+def _get(parser, path, section, key, cast, default):
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
     try:
         value = cast(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"{path}: [{section}] {key}: cannot parse {raw!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+        raise ConfigError(f"{path}: [{section}] {key}: {raw!r} is not a finite number")
     return value
 
 
@@ -57,18 +60,27 @@ _PID_KEYS = {key: key for key in ("kp", "ki", "kd", "out_min", "out_max", "anti_
 _SENSOR_KEYS = {"quantization_c": "quantization", "noise_std_c": "noise_std"}
 
 
-def _check_keys(parser, path, section, known) -> None:
-    """Reject keys the loader does not read: a misspelled key would keep its default."""
-    if parser.has_section(section):
+def _check_layout(parser, path, known_keys) -> None:
+    """Reject sections and keys the loader does not read: a misspelled one keeps its defaults.
+
+    ``known_keys(section)`` gives the keys a section may hold, or None for a
+    section the loader does not read.
+    """
+    # [DEFAULT] first: its keys show up in every other section too
+    sections = ([parser.default_section] if parser.defaults() else []) + parser.sections()
+    for section in sections:
+        known = known_keys(section)
+        if known is None:
+            raise ConfigError(f"{path}: [{section}]: unknown section")
         for key in parser.options(section):
             if key not in known:
                 raise ConfigError(f"{path}: [{section}] {key}: unknown key")
 
 
-def _fields(parser, section, cls, keys) -> dict:
+def _fields(parser, path, section, cls, keys) -> dict:
     """Field values of ``cls`` read from ``section``, each cast like its default."""
     return {
-        name: _get(parser, section, key, type(getattr(cls, name)), getattr(cls, name))
+        name: _get(parser, path, section, key, type(getattr(cls, name)), getattr(cls, name))
         for key, name in keys.items()
     }
 
@@ -80,9 +92,8 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
     swaps in the others.
     """
     parser = _read_ini(path)
-    _check_keys(parser, path, "simulation", {"setpoints", *_SIM_KEYS})
-    _check_keys(parser, path, "pid", _PID_KEYS)
-    _check_keys(parser, path, "sensor", _SENSOR_KEYS)
+    known = {"simulation": {"setpoints", *_SIM_KEYS}, "pid": _PID_KEYS, "sensor": _SENSOR_KEYS}
+    _check_layout(parser, path, known.get)
     try:
         raw = parser.get("simulation", "setpoints", fallback="30, 50, 70, 90")
         setpoints = tuple(float(tok) for tok in raw.replace(",", " ").split())
@@ -97,9 +108,9 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
             seen.add(sp)
         cfg = SimConfig(
             setpoint=setpoints[0],
-            pid=PidConfig(**_fields(parser, "pid", PidConfig, _PID_KEYS)),
-            sensor=SensorConfig(**_fields(parser, "sensor", SensorConfig, _SENSOR_KEYS)),
-            **_fields(parser, "simulation", SimConfig, _SIM_KEYS),
+            pid=PidConfig(**_fields(parser, path, "pid", PidConfig, _PID_KEYS)),
+            sensor=SensorConfig(**_fields(parser, path, "sensor", SensorConfig, _SENSOR_KEYS)),
+            **_fields(parser, path, "simulation", SimConfig, _SIM_KEYS),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -116,11 +127,11 @@ _PARAM_KEYS = {
 }
 
 
-def _params_from_section(parser, section, base: dict) -> dict:
+def _params_from_section(parser, path, section, base: dict) -> dict:
     values = dict(base)
     for key, name in _PARAM_KEYS.items():
         if parser.has_option(section, key):
-            values[name] = _get(parser, section, key, float, None)
+            values[name] = _get(parser, path, section, key, float, None)
     return values
 
 
@@ -133,10 +144,14 @@ def load_params_file(path) -> dict[float, PeltierParams]:
     complete on its own.
     """
     parser = _read_ini(path)
-    _check_keys(parser, path, "peltier", _PARAM_KEYS)
+    _check_layout(
+        parser,
+        path,
+        lambda section: _PARAM_KEYS if section.split(".", 1)[0] == "peltier" else None,
+    )
     base: dict = {}
     if parser.has_section("peltier"):
-        base = _params_from_section(parser, "peltier", {})
+        base = _params_from_section(parser, path, "peltier", {})
     result: dict = {}
     for section in parser.sections():
         if not section.startswith("peltier."):
@@ -149,8 +164,7 @@ def load_params_file(path) -> dict[float, PeltierParams]:
             raise ConfigError(f"{path}: [{section}] setpoint is not a finite number")
         if sp in result:
             raise ConfigError(f"{path}: [{section}] repeats setpoint {sp:g}")
-        _check_keys(parser, path, section, _PARAM_KEYS)
-        values = _params_from_section(parser, section, base)
+        values = _params_from_section(parser, path, section, base)
         missing = [k for k, n in _PARAM_KEYS.items() if n not in values]
         if missing:
             raise ConfigError(f"{path}: [{section}] missing keys {missing}")

@@ -48,7 +48,7 @@ _BOX_TEXT = ", ".join(
 
 
 class MatchFailureError(RuntimeError):
-    """Every multistart diverged."""
+    """Every multistart diverged, or none reached a finite SSE."""
 
 
 def _vec(p: PeltierParams) -> np.ndarray:
@@ -184,6 +184,9 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
         raise MatchFailureError("every multistart diverged")
     idx, outcomes = search
     theta, cost, iterations, reason, trace, _ = outcomes[idx]
+    if not math.isfinite(cost):
+        # the squared residuals overflow: the data lie far outside the twin's range
+        raise MatchFailureError(f"no start reached a finite SSE (the best is {cost})")
     at_bound = bool(np.any(np.isclose(theta, LOWER, rtol=1e-12, atol=0.0))
                     or np.any(np.isclose(theta, UPPER, rtol=1e-12, atol=0.0)))
     return MatchResult(

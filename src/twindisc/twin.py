@@ -289,17 +289,23 @@ def write_csv(dataset: TimeSeriesDataset, path) -> None:
 
 
 def read_csv(path, label: str | None = None) -> TimeSeriesDataset:
-    """Read a dataset CSV produced by :func:`write_csv` (or equivalent)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if len(lines) < 2:  # a header and at least one row
-        raise ValueError(f"{path}: dataset is empty")
-    data = np.genfromtxt(lines, delimiter=",", names=True)
-    required = ("t", "r", "u", "y")
-    names = data.dtype.names or ()
-    if any(col not in names for col in required):
-        raise ValueError(f"{path}: CSV must have columns t,r,u,y (got {names})")
+    """Read a dataset CSV produced by :func:`write_csv` (or equivalent).
+
+    Every ValueError it raises names ``path``, as an OSError from opening it does.
+    """
     if label is None:
         label = os.path.splitext(os.path.basename(str(path)))[0]
-    # one data row parses to 0-d columns
-    return TimeSeriesDataset(*(np.atleast_1d(data[col]) for col in required), label=label)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+        if len(lines) < 2:  # a header and at least one row
+            raise ValueError("dataset is empty")
+        data = np.genfromtxt(lines, delimiter=",", names=True)
+        required = ("t", "r", "u", "y")
+        names = data.dtype.names or ()
+        if any(col not in names for col in required):
+            raise ValueError(f"CSV must have columns t,r,u,y (got {names})")
+        # one data row parses to 0-d columns
+        return TimeSeriesDataset(*(np.atleast_1d(data[col]) for col in required), label=label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

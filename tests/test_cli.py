@@ -180,9 +180,13 @@ class TestSimulateCommand:
              "[peltier.30.0] repeats setpoint 30"),
             ("[simulation]\nsetpoints = 30\nduration_s = 1000001\n", PARAMS,
              "at most 1000000 samples"),
+            (CONFIG.replace("[simulation]", "[simulaton]"), PARAMS,
+             "sim.ini: [simulaton]: unknown section"),
+            (CONFIG, PARAMS + "[pelteir.30]\nr_ohm = 1.0\n",
+             "params.ini: [pelteir.30]: unknown section"),
         ],
         ids=["unknown_sim_key", "unknown_sensor_key", "repeated_setpoint_section",
-             "too_many_samples"],
+             "too_many_samples", "misspelled_sim_section", "misspelled_params_section"],
     )
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, config, params, message):
         cfg = tmp_path / "sim.ini"
@@ -195,6 +199,23 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["config", "params"])
+    def test_non_utf8_file_is_usage_error_naming_the_file_once(self, tmp_path, capsys, bad):
+        files = {"config": tmp_path / "sim.ini", "params": tmp_path / "params.ini"}
+        files["config"].write_text(CONFIG)
+        files["params"].write_text(PARAMS)
+        files[bad].write_bytes(files[bad].read_bytes() + b"# caf\xe9\n")
+        out = tmp_path / "out"
+        code = cli.main(
+            ["simulate", "--config", str(files["config"]), "--params", str(files["params"]),
+             "--out-dir", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[bad]}: 'utf-8' codec can't decode")
+        assert err.count(str(files[bad])) == 1
         assert not out.exists()
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
@@ -371,6 +392,29 @@ class TestDiscriminateCommand:
         assert "dataset is empty" in err
         assert "Traceback" not in err
         assert not os.path.exists(f"{out}.json")
+
+    @pytest.mark.parametrize("command", ["discriminate", "match"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "dataset is empty"),
+            (b"t,r,u\n0,1,2\n1,1,2\n", "CSV must have columns t,r,u,y"),
+            (b"t,r,u,y\n0,1,2,3\n1,1,2,\xff\n", "'utf-8' codec can't decode"),
+            (b"t,r,u,y\n0,1,2,3\n1,1,2,nan\n", "column y holds NaN or inf values"),
+        ],
+        ids=["empty", "missing_column", "non_utf8", "nan"],
+    )
+    def test_unreadable_dataset_names_its_file_once(
+        self, tmp_path, capsys, command, content, message
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        out = tmp_path / "r.json"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.count(str(path)) == 1
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_dataset_too_short_for_every_order_is_an_error_not_a_row(self, tmp_path, capsys):
         # 30 samples are too few for 22221 (needs 40), so no order is identified
@@ -662,6 +706,20 @@ class TestMatchCommand:
         assert code == 2
         assert f"error: output path {str(out)!r} is a directory" in capsys.readouterr().err
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_infinite_sse_is_computational_error(self, tmp_path, capsys):
+        # finite samples whose squared errors overflow a float
+        n = 200
+        ds = TimeSeriesDataset(np.arange(n, dtype=float), np.full(n, 70.0),
+                               np.full(n, 1e200), np.full(n, 1e200))
+        path = tmp_path / "huge.csv"
+        write_csv(ds, path)
+        out = tmp_path / "m.json"
+        with np.errstate(over="ignore"):
+            code = cli.main(["match", str(path), "--out", str(out)])
+        assert code == 1
+        assert "error: no start reached a finite SSE" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")

@@ -114,6 +114,21 @@ class TestSimConfigFile:
         with pytest.raises(ConfigError, match=r"\[pid\] kp_gain: unknown key"):
             load_sim_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new", [("[simulation]", "[simulaton]"), ("[pid]", "[DEFAULT]")]
+    )
+    def test_unknown_section_rejected(self, tmp_path, old, new):
+        path = tmp_path / "sim.ini"
+        path.write_text(GOOD_SIM.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"sim.ini: \{new}: unknown section"):
+            load_sim_config(path)
+
+    def test_percent_sign_is_a_value_not_an_interpolation(self, tmp_path):
+        path = tmp_path / "sim.ini"
+        path.write_text(GOOD_SIM.replace("kp = 3.5", "kp = 5%"))
+        with pytest.raises(ConfigError, match=r"\[pid\] kp: cannot parse '5%'"):
+            load_sim_config(path)
+
 
 class TestParamsFile:
     def test_per_setpoint_sections_with_shared_base(self, tmp_path):
@@ -173,6 +188,13 @@ class TestParamsFile:
         path = tmp_path / "params.ini"
         path.write_text(GOOD_PARAMS.replace(f"[{section}]\n", f"[{section}]\nalpha = 0.1\n"))
         with pytest.raises(ConfigError, match=rf"\[{section}\] alpha: unknown key"):
+            load_params_file(path)
+
+    @pytest.mark.parametrize("section", ["pelteir.30", "peltier_30", "DEFAULT"])
+    def test_unknown_section_rejected(self, tmp_path, section):
+        path = tmp_path / "params.ini"
+        path.write_text(GOOD_PARAMS + f"\n[{section}]\nr_ohm = 3.3\n")
+        with pytest.raises(ConfigError, match=rf"params.ini: \[{section}\]: unknown section"):
             load_params_file(path)
 
     def test_invalid_physical_value(self, tmp_path):

@@ -174,6 +174,12 @@ PINNED_CASES = {
         None,
     ),
     "kd": (70.0, {"pid": PidConfig(kd=0.5)}, None),
+    # at a sample time other than 1 s, so that the derivative's / dt shows
+    "kd_sample_time_0.5": (
+        70.0,
+        {"pid": PidConfig(kd=0.5), "sample_time": 0.5, "duration": 300.0},
+        None,
+    ),
     "no_antiwindup": (
         90.0,
         {"pid": PidConfig(kp=50.0, ki=5.0, anti_windup="none")},
@@ -187,6 +193,7 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "clean": "3905120f37325d65ddd899bd4935d30054ba6f9887b01ab3da431fe066e0a5d6",
     "kd": "7375b36a801c9df91f3c677bb51dc6bba2d8fe0cee71bd312ba5b4c594bdfeb2",
+    "kd_sample_time_0.5": "c41890318423c73ad8a78769810f3bc10086e73224949b22cefc81d868a078d3",
     "no_antiwindup": "8c1f35087f2b06e6d77579627e2bbdcec79f5e3eea7d182421230d99181d537c",
     "noise": "d9956e0831261f5377a74c163b9b11a676c9c2dcab2285087753635569cf543f",
     "noise_quantization": "85980330f2475fcbb261b48d100f3bae900bf45b4ed853c0072dd0939f03725c",
