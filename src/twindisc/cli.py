@@ -375,16 +375,25 @@ def cmd_discriminate(args):
         seed=args.seed,
         residual_source=args.residuals,
     )
-    _check_out_paths(*_report_paths(args.out))
-    # a dataset that cannot be read goes into the report's errors, as long
-    # as another one can
+    _check_out_paths(args.out, *_report_paths(args.out))
+    # a dataset that cannot be read, or whose data the codec cannot price,
+    # goes into the report's errors, as long as another one can be used
     datasets = []
     load_errors = []
     for path in args.datasets:
         try:
-            datasets.append(twin.read_csv(path))
+            dataset = twin.read_csv(path)
         except (OSError, ValueError) as exc:
             load_errors.append(str(exc))
+            continue
+        try:
+            # the largest magnitude of a column is the one that can leave the token range
+            for name, column in (("u", dataset.u), ("y", dataset.y)):
+                coding.encode_number(np.max(np.abs(column)), opts.precision)
+        except ValueError as exc:
+            load_errors.append(f"{path}: column {name} cannot be priced: {exc}")
+            continue
+        datasets.append(dataset)
     if not datasets:
         raise ValueError("; ".join(load_errors))
     labels = [ds.label for ds in datasets]

@@ -24,7 +24,7 @@ from .twin import (
 )
 
 MEASURED_RESISTANCE = 3.3  # ohm
-FD_STEP = 1e-4  # relative step of the central-difference Jacobian
+FD_STEP = 2.0**-26  # relative forward-difference step: sqrt(machine epsilon)
 TOL = 1e-10  # relative cost drop that counts as converged
 # the alpha/K/C ridge is a long curved valley: the crawl phase can take
 # ~100 iterations before quadratic convergence kicks in
@@ -141,24 +141,19 @@ def _starts(problem: MatchProblem) -> list[np.ndarray]:
 
 
 def _fd_jacobian(problem: MatchProblem, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Central differences of the residual, one-sided where a bound cuts the step."""
+    """Forward differences of the residual ``r`` at ``theta``, one simulation per column.
+
+    Column i steps theta_i by h = FD_STEP * max(|theta_i|, 1e-6), inward
+    where theta_i + h would leave ``UPPER``, and divides by the realized
+    width; a stepped run that diverges gives a zero column.
+    """
     jac = np.empty((r.size, theta.size))
     for i in range(theta.size):
         h = FD_STEP * max(abs(theta[i]), 1e-6)
-        up = theta.copy()
-        up[i] = min(theta[i] + h, UPPER[i])
-        dn = theta.copy()
-        dn[i] = max(theta[i] - h, LOWER[i])
-        width = up[i] - dn[i]
-        if width <= 0.0:
-            jac[:, i] = 0.0
-            continue
-        rp = _residual_vector(problem, problem.params_from(up))
-        rm = _residual_vector(problem, problem.params_from(dn))
-        if rp is None or rm is None:
-            jac[:, i] = 0.0
-            continue
-        jac[:, i] = (rp - rm) / width
+        step = theta.copy()
+        step[i] = theta[i] + h if theta[i] + h <= UPPER[i] else theta[i] - h
+        rs = _residual_vector(problem, problem.params_from(step))
+        jac[:, i] = 0.0 if rs is None else (rs - r) / (step[i] - theta[i])
     return jac
 
 

@@ -207,6 +207,8 @@ def simulate_closed_loop(
     conditional = pid.anti_windup == "conditional"
     drive_gain = -cfg.supply_voltage / r_ohm / (out_max - out_min)
     quant = cfg.sensor.quantization
+    kelvin = KELVIN_OFFSET
+    substeps = range(cfg.ode_substeps)
 
     t_a = t_b = float(cfg.ambient)
     integ = 0.0
@@ -243,9 +245,11 @@ def simulate_closed_loop(
         current = (u - out_min) * drive_gain
         joule_half = 0.5 * current * current * r_ohm
         seebeck = alpha * current
-        for _ in range(cfg.ode_substeps):
-            q_a = seebeck * (t_a + KELVIN_OFFSET) - joule_half + k_cond * (t_a - t_b)
-            q_b = seebeck * (t_b + KELVIN_OFFSET) - joule_half + k_cond * (t_b - t_a)
+        for _ in substeps:
+            # q_b's conduction term k * (t_b - t_a) is exactly -flow in IEEE-754
+            flow = k_cond * (t_a - t_b)
+            q_a = seebeck * (t_a + kelvin) - joule_half + flow
+            q_b = seebeck * (t_b + kelvin) - joule_half - flow
             t_a += dt_sub * (-q_a - g_surf * (t_a - ambient)) / c_heat
             t_b += dt_sub * (-q_b - g_sink * (t_b - ambient)) / c_heat
         if not (math.isfinite(t_a) and math.isfinite(t_b)):
@@ -282,10 +286,10 @@ def write_csv(dataset: TimeSeriesDataset, path) -> None:
     Values are rendered with shortest round-trip formatting, so a write/read
     cycle reproduces them exactly.
     """
+    # each column is rendered once; a row only joins those strings
+    cols = [map(repr, col.tolist()) for col in (dataset.t, dataset.r, dataset.u, dataset.y)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,r,u,y\n")
-        cols = (dataset.t.tolist(), dataset.r.tolist(), dataset.u.tolist(), dataset.y.tolist())
-        fh.writelines(f"{t!r},{r!r},{u!r},{y!r}\n" for t, r, u, y in zip(*cols))
+        fh.write("\n".join(["t,r,u,y", *map(",".join, zip(*cols)), ""]))
 
 
 def read_csv(path, label: str | None = None) -> TimeSeriesDataset:

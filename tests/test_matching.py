@@ -80,6 +80,62 @@ class TestSseCost:
         )
 
 
+def richardson_jacobian(problem, theta, rel_step=1e-3):
+    """Central differences at h and h/2 combined to cancel the h**2 error term."""
+    def central(i, h):
+        up, dn = theta.copy(), theta.copy()
+        up[i] += h
+        dn[i] -= h
+        r_up = matching._residual_vector(problem, problem.params_from(up))
+        r_dn = matching._residual_vector(problem, problem.params_from(dn))
+        return (r_up - r_dn) / (2.0 * h)
+
+    columns = []
+    for i in range(theta.size):
+        h = rel_step * abs(theta[i])
+        columns.append((4.0 * central(i, h / 2.0) - central(i, h)) / 3.0)
+    return np.column_stack(columns)
+
+
+class TestFdJacobian:
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            [TRUTH_70.alpha, TRUTH_70.k_cond, TRUTH_70.c_heat],
+            [0.053, 0.5555, 15.0],  # the datasheet start
+            [TRUTH_70.alpha, UPPER[1], TRUTH_70.c_heat],  # K on its bound
+        ],
+        ids=["truth", "datasheet", "k_on_upper"],
+    )
+    def test_agrees_with_richardson_reference(self, theta):
+        problem = make_problem(duration=60.0)
+        theta = np.array(theta)
+        r = matching._residual_vector(problem, problem.params_from(theta))
+        jac = matching._fd_jacobian(problem, theta, r)
+        ref = richardson_jacobian(problem, theta)
+        # column by column in the 2-norm, since single entries pass through zero
+        for i in range(theta.size):
+            assert np.linalg.norm(jac[:, i] - ref[:, i]) <= 1e-5 * np.linalg.norm(ref[:, i])
+
+    def test_one_simulation_per_column_inside_the_box(self, monkeypatch):
+        problem = make_problem(duration=60.0)
+        theta = np.array([TRUTH_70.alpha, UPPER[1], UPPER[2]])
+        r = matching._residual_vector(problem, problem.params_from(theta))
+        stepped = []
+
+        def counting(p, *args, **kwargs):
+            stepped.append(p)
+            return simulate_closed_loop(p, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "simulate_closed_loop", counting)
+        matching._fd_jacobian(problem, theta, r)
+        assert len(stepped) == theta.size
+        # a component on UPPER steps inward
+        assert stepped[1].k_cond < UPPER[1]
+        assert stepped[2].c_heat < UPPER[2]
+        assert stepped[0].alpha > TRUTH_70.alpha
+
+
 class TestMatchParameters:
     def test_started_at_truth_converges_immediately(self):
         problem = make_problem(duration=60.0, initial=TRUTH_70)
@@ -152,10 +208,10 @@ class TestMatchParameters:
             v.hex()
             for v in (result.sse, result.params.alpha, result.params.k_cond, result.params.c_heat)
         ] == [
-            "0x1.2c9ab04152734p-1",
-            "0x1.53adbac84805bp-6",
-            "0x1.1dec9068198acp-2",
-            "0x1.5e86f368d22d9p+3",
+            "0x1.2c9ab04152f5fp-1",
+            "0x1.53adc370de069p-6",
+            "0x1.1dec9a5532751p-2",
+            "0x1.5e86fa428f5a5p+3",
         ]
 
     def test_initial_must_be_in_bounds(self):
