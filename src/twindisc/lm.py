@@ -5,6 +5,8 @@ behavioral matching (:mod:`twindisc.matching`).  Damping scales the
 diagonal of J^T J (Marquardt, SIAM J. Appl. Math. 11(2), 1963).  Box
 bounds are handled with an active set, as in the projected method of
 Kanzow, Yamashita & Fukushima (J. Comput. Appl. Math. 172, 2004).
+Geodesic acceleration, optional, adds a second-order correction to each
+step along curved valleys (Transtrum & Sethna, arXiv:1201.5885, 2012).
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 MAX_LAMBDA = 1e12
+#: Geodesic acceleration: the relative finite-difference step of the probe
+#: along the damped step, and the largest ratio 2||a|| / ||delta|| that is
+#: still trusted (Transtrum & Sethna's values).
+ACCEL_PROBE_STEP = 0.1
+ACCEL_MAX_RATIO = 0.75
 
 #: Stop reasons that mean the search reached a (local) optimum.  The others
 #: are "barrier" (the stopping iteration rejected a disallowed candidate, so
@@ -20,7 +27,28 @@ MAX_LAMBDA = 1e12
 CONVERGED_REASONS = frozenset({"zero_cost", "rel_drop", "no_descent"})
 
 
-def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, bounds=None):
+def _cost(r) -> float:
+    # a sum of squares that overflows is an infinite cost, an outcome the
+    # callers handle, not a numerical fault worth a warning
+    with np.errstate(over="ignore"):
+        return float(r @ r)
+
+
+def _solve_free(matrix, rhs, free):
+    """Solve ``matrix @ x = rhs`` on the ``free`` components (all when None).
+
+    The other components of ``x`` stay zero.
+    """
+    if free is None:
+        return np.linalg.solve(matrix, rhs)
+    x = np.zeros_like(rhs)
+    x[free] = np.linalg.solve(matrix[np.ix_(free, free)], rhs[free])
+    return x
+
+
+def levenberg_marquardt(
+    residual, jacobian, theta0, max_iter: int, tol: float, bounds=None, accelerate=False
+):
     """Minimize ``||residual(theta)||^2`` from ``theta0``.
 
     ``residual(theta)`` returns None for a theta that is not allowed, and
@@ -28,7 +56,17 @@ def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, b
     given, is a pair of arrays ``(lo, hi)``: ``theta0`` and every candidate
     are clipped into that box, and a component that sits on a bound while
     its step points outward is held there, the step being solved again on
-    the free components.  A step is taken only when it lowers the cost.
+    the free components.  A step is taken only when it lowers the cost, and
+    a candidate that rounds back to theta is not evaluated.
+
+    With ``accelerate``, each damped step delta costs one more ``residual``
+    call, at theta + h delta (h = ``ACCEL_PROBE_STEP``, clipped), which gives
+    the second directional derivative r_vv = (2/h)((r_h - r)/h - J delta).
+    The acceleration a solves the same damped system on the same free
+    components with J^T r_vv in place of J^T r, and the candidate is
+    theta + delta + a/2 when 2||a|| <= ``ACCEL_MAX_RATIO`` ||delta||, else
+    theta + delta.  A probe ``residual`` disallows falls back to the plain
+    step and is no barrier.
 
     The search stops with one of these reasons: ``"zero_cost"``;
     ``"rel_drop"``, a relative cost drop below ``tol``; ``"no_descent"``,
@@ -40,16 +78,19 @@ def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, b
     holding the start's cost and each accepted one and ``r`` being
     ``residual(theta)``, or None when ``theta0`` is not allowed.
     """
-    theta = np.asarray(theta0, dtype=float)
     if bounds is None:
-        theta = theta.copy()
+        def clip(x):
+            return x
     else:
         lo, hi = bounds
-        theta = np.minimum(np.maximum(theta, lo), hi)
+
+        def clip(x):
+            return np.minimum(np.maximum(x, lo), hi)
+    theta = clip(np.array(theta0, dtype=float))
     r = residual(theta)
     if r is None:
         return None
-    cost = float(r @ r)
+    cost = _cost(r)
     trace = [cost]
     lam = 1e-3
     iterations = 0
@@ -66,27 +107,37 @@ def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, b
         disallowed = False
         while lam <= MAX_LAMBDA:
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(scale), -jtr)
-                if bounds is None:
-                    cand = theta + delta
-                else:
+                damped = jtj + lam * np.diag(scale)
+                delta = np.linalg.solve(damped, -jtr)
+                free = None
+                if bounds is not None:
                     active = ((theta <= lo) & (delta < 0.0)) | ((theta >= hi) & (delta > 0.0))
                     if active.any():
                         free = ~active
-                        delta = np.zeros_like(theta)
-                        sub = np.ix_(free, free)
-                        delta[free] = np.linalg.solve(
-                            jtj[sub] + lam * np.diag(scale[free]), -jtr[free]
-                        )
-                    cand = np.minimum(np.maximum(theta + delta, lo), hi)
+                        delta = _solve_free(damped, -jtr, free)
             except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            step = delta
+            if accelerate:
+                h = ACCEL_PROBE_STEP
+                probe = clip(theta + h * delta)
+                r_h = None if probe.tobytes() == theta.tobytes() else residual(probe)
+                if r_h is not None:
+                    r_vv = (2.0 / h) * ((r_h - r) / h - jac @ delta)
+                    accel = _solve_free(damped, -(jac.T @ r_vv), free)
+                    if 2.0 * np.linalg.norm(accel) <= ACCEL_MAX_RATIO * np.linalg.norm(delta):
+                        step = delta + 0.5 * accel
+            cand = clip(theta + step)
+            if cand.tobytes() == theta.tobytes():
+                # a step below theta's resolution costs what theta does: no descent
                 lam *= 10.0
                 continue
             rc = residual(cand)
             if rc is None:
                 disallowed = True
             else:
-                new_cost = float(rc @ rc)
+                new_cost = _cost(rc)
                 if new_cost < cost:
                     rel_drop = (cost - new_cost) / cost
                     theta, r, cost = cand, rc, new_cost
@@ -104,7 +155,9 @@ def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, tol: float, b
     return theta, cost, iterations, reason, trace, r
 
 
-def multistart(residual, jacobian, starts, max_iter: int, tol: float, bounds=None):
+def multistart(
+    residual, jacobian, starts, max_iter: int, tol: float, bounds=None, accelerate=False
+):
     """Run :func:`levenberg_marquardt` from each start in order; the lowest cost wins.
 
     A start ``residual`` rejects has no outcome and never wins; ties go to
@@ -112,7 +165,7 @@ def multistart(residual, jacobian, starts, max_iter: int, tol: float, bounds=Non
     ``outcomes`` for each rejected start, or None when every start is.
     """
     outcomes = [
-        levenberg_marquardt(residual, jacobian, start, max_iter, tol, bounds)
+        levenberg_marquardt(residual, jacobian, start, max_iter, tol, bounds, accelerate)
         for start in starts
     ]
     allowed = [i for i, outcome in enumerate(outcomes) if outcome is not None]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -767,6 +768,23 @@ class TestMatchCommand:
         assert "error: no start reached a finite SSE" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_sse_warns_nothing_before_its_error_line(self, tmp_path, capsys):
+        # an overflowing cost is an outcome, not a numerical fault: no numpy
+        # RuntimeWarning may precede the one error line
+        n = 200
+        ds = TimeSeriesDataset(np.arange(n, dtype=float), np.full(n, 70.0),
+                               np.full(n, 1e200), np.full(n, 1e200))
+        path = tmp_path / "huge.csv"
+        write_csv(ds, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["match", str(path), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: no start reached a finite SSE (the best is inf)"
+        ]
+
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")
         assert (params.alpha, params.k_cond, params.c_heat) == (0.05, 0.4, 12.5)
@@ -787,16 +805,17 @@ REPORT_SHA256 = {
 }
 
 # SHA-256 of the ``match dataset_45.csv --initial datasheet`` JSON on the same
-# campaign, recorded once the Jacobian became forward differences at a
-# sqrt(machine epsilon) step; against central differences the SSE moved by
-# 1.2e-12 relative and the parameters by at most 9.2e-6, with start 1 winning.
-MATCH_SHA256 = "503a24cf5301ead81f3e93a2aa1541147ac1c0ff212d3c24f4866c1049377659"
+# campaign, recorded once matching searched log-parameters with geodesic
+# acceleration; against the linear forward-difference search the SSE moved by
+# 3.2e-12 relative and the parameters by at most 1.4e-5.  All five starts end
+# within 3e-14 of one cost, so the winner moved from start 1 to start 3.
+MATCH_SHA256 = "394aede95d17b952e547ee52f870278d7f15f4b077a40b5d0721abf00c8faaba"
 
 # SHA-256 of ``match dataset_35.csv --initial measurement --channels y --config
-# sim.ini`` on the same campaign, recorded with the forward-difference
-# Jacobian.  All five starts end within 2e-11 of one cost, so the winner moved
-# from start 1 to start 4, the SSE by 4.7e-14 and the parameters by 2.1e-7.
-MATCH_Y_CONFIG_SHA256 = "afa7c2764226218ab78d8243a35efe36330e487307e76bb9b011db22e1c76b38"
+# sim.ini`` on the same campaign, recorded with the log-parameter accelerated
+# search.  All five starts end within 1.1e-11 of one cost, so the winner moved
+# from start 4 to start 2, the SSE by 6.4e-12 and the parameters by 4.3e-6.
+MATCH_Y_CONFIG_SHA256 = "b26e8538b66624a984b0f15d0e352c4dbca1bdebe92379d8e590ab8293a6c227"
 
 
 @pytest.fixture()
