@@ -50,7 +50,6 @@ class DiscriminateOptions:
     precision: int = coding.DEFAULT_PRECISION
     naic_form: str = "normalized"
     nugap_grid: int = DEFAULT_GRID_SIZE
-    strict_winding: bool = False
     seed: int = 0
     residual_source: str = "sim"
 
@@ -257,9 +256,7 @@ def discriminate_datasets(
     else:
         try:
             models = [m for _, m in gap_entries]
-            matrix, winner, tie = select_nominal(
-                models, grid_size=opts.nugap_grid, strict_winding=opts.strict_winding
-            )
+            matrix, winner, tie = select_nominal(models, grid_size=opts.nugap_grid)
             labels = [lbl for lbl, _ in gap_entries]
             nugap_section = {
                 "labels": labels,
@@ -371,7 +368,6 @@ def cmd_discriminate(args):
         precision=args.precision,
         naic_form=args.naic_form,
         nugap_grid=args.nugap_grid,
-        strict_winding=args.strict_winding,
         seed=args.seed,
         residual_source=args.residuals,
     )
@@ -492,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--precision", type=int, default=coding.DEFAULT_PRECISION)
     p_dis.add_argument("--naic-form", choices=criteria.NAIC_FORMS, default="normalized")
     p_dis.add_argument("--nugap-grid", type=int, default=DEFAULT_GRID_SIZE)
-    p_dis.add_argument("--strict-winding", action="store_true")
     p_dis.add_argument("--seed", type=int, default=0)
     p_dis.add_argument("--residuals", choices=RESIDUAL_SOURCES, default="sim")
     p_dis.set_defaults(func=cmd_discriminate)

@@ -1,10 +1,10 @@
 """Vinnicombe nu-gap distance between models and nominal-model selection.
 
 The gap between two systems is the worst-case chordal distance between
-their frequency responses over the unit circle, always in [0, 1].  Small
-values mean a controller designed for one plant nearly works for the
-other.  The default mode performs only the sup-norm maximization; the
-winding-number admissibility test of the full definition is opt-in.
+their frequency responses over the unit circle, always in [0, 1], when the
+pair meets Vinnicombe's winding-number condition, and 1 when it does not.
+Small values mean a controller designed for one plant nearly works for the
+other.
 """
 
 from __future__ import annotations
@@ -78,13 +78,13 @@ def _label_of(model) -> str:
     return getattr(model, "label", "") or repr(model)
 
 
-def _pole_angles(model) -> np.ndarray:
-    """Angles in [0, pi] of a model's poles; raises UnitCirclePoleError on the circle."""
+def _poles(model) -> np.ndarray:
+    """Every channel's poles; raises UnitCirclePoleError on the unit circle."""
     roots = np.concatenate([np.roots(tf.denominator) for tf in _channels(model)])
     near = np.abs(np.abs(roots) - 1.0) < _UNIT_CIRCLE_TOL
     if np.any(near):
         raise UnitCirclePoleError(_label_of(model), abs(np.angle(roots[np.argmax(near)])))
-    return np.abs(np.angle(roots))
+    return roots
 
 
 def _chordal_grid(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
@@ -102,7 +102,8 @@ def _chordal_grid(P1: np.ndarray, P2: np.ndarray) -> np.ndarray:
 
 
 def _winding_number(P1: np.ndarray, P2: np.ndarray) -> tuple[int, float]:
-    """Encirclement count of det(I + P2* P1) from (m, G) responses over [0, pi]."""
+    """Anticlockwise encirclements of the origin by det(I + P2* P1) as omega
+    rises through [0, 2 pi], from (m, G) responses over [0, pi]."""
     g_half = 1.0 + np.sum(P2.conj() * P1, axis=0)
     # responses at negative frequencies are conjugates, so the full closed
     # contour is the upper half, its reversed conjugate, then back to start
@@ -113,19 +114,19 @@ def _winding_number(P1: np.ndarray, P2: np.ndarray) -> tuple[int, float]:
     return winding, min_mag
 
 
-def nugap(
-    m1,
-    m2,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    strict_winding: bool = False,
-) -> float:
-    """Worst-case chordal distance between two models over [0, pi].
+def nugap(m1, m2, grid_size: int = DEFAULT_GRID_SIZE) -> float:
+    """Vinnicombe's nu-gap between two models.
 
     The search grid is ``grid_size`` uniform frequencies plus both models'
-    pole angles, where a lightly damped resonance peaks.  The highest local
-    maxima are then refined together on successively finer local grids.
-    With ``strict_winding`` the admissibility condition is checked first, on
-    the same grid, and a failing pair scores 1.0 outright.
+    pole angles, where a lightly damped resonance peaks.  On it the pair
+    must meet the winding-number condition: det(I + P2* P1) stays off zero
+    and, as omega rises, winds eta(m1) - eta(m2) times round the origin,
+    eta counting the poles outside the unit circle.  A pair that fails
+    scores 1.0.  Otherwise the gap is the worst-case chordal distance over
+    [0, pi], whose highest local maxima on the grid are refined together on
+    successively finer local grids.  For a SIMO model eta sums each
+    channel's count, which is Vinnicombe's eta when the channels share no
+    unstable pole.
     """
     if not 64 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be >= 64 and <= {MAX_GRID_SIZE}")
@@ -133,13 +134,13 @@ def nugap(
     ts2 = getattr(m2, "sample_time", None)
     if ts1 != ts2:
         raise ValueError(f"models must share a sample time ({ts1} != {ts2})")
-    poles = np.concatenate([_pole_angles(m1), _pole_angles(m2)])
-    omegas = np.union1d(np.linspace(0.0, np.pi, grid_size), poles)
+    p1, p2 = _poles(m1), _poles(m2)
+    angles = np.abs(np.angle(np.concatenate([p1, p2])))
+    omegas = np.union1d(np.linspace(0.0, np.pi, grid_size), angles)
     P1, P2 = _response_columns(m1, omegas), _response_columns(m2, omegas)
-    if strict_winding:
-        winding, min_mag = _winding_number(P1, P2)
-        if winding != 0 or min_mag < 1e-9:
-            return 1.0
+    winding, min_mag = _winding_number(P1, P2)
+    if winding != np.sum(np.abs(p1) > 1.0) - np.sum(np.abs(p2) > 1.0) or min_mag < 1e-9:
+        return 1.0
 
     d = _chordal_grid(P1, P2)
     edged = np.concatenate([[-np.inf], d, [-np.inf]])
@@ -173,9 +174,7 @@ def argmin_cumulative(sums) -> tuple[int, bool]:
 
 
 def select_nominal(
-    models,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    strict_winding: bool = False,
+    models, grid_size: int = DEFAULT_GRID_SIZE
 ) -> tuple[NuGapMatrix, int, bool]:
     """Pick the model family member closest to all others.
 
@@ -189,7 +188,7 @@ def select_nominal(
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            gap = nugap(models[i], models[j], grid_size, strict_winding)
+            gap = nugap(models[i], models[j], grid_size)
             values[i, j] = gap
             values[j, i] = gap
     matrix = NuGapMatrix([_label_of(m) for m in models], values)

@@ -139,6 +139,8 @@ class TimeSeriesDataset:
             raise ValueError("t, r, u, y must be equal-length 1-D columns")
         if t.size < 2:
             raise ValueError("dataset needs at least 2 samples")
+        if t.size > MAX_SAMPLES:
+            raise ValueError(f"dataset has {t.size} samples, at most {MAX_SAMPLES} allowed")
         if not np.isfinite((t, r, u, y)).all():
             bad = next(n for n, a in zip("truy", (t, r, u, y)) if not np.isfinite(a).all())
             raise ValueError(f"column {bad} holds NaN or inf values")

@@ -754,6 +754,26 @@ class TestMatchCommand:
         assert f"error: output path {str(out)!r} is a directory" in capsys.readouterr().err
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("with_config", [False, True], ids=["preset", "config"])
+    def test_dataset_over_the_sample_bound_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, with_config
+    ):
+        # with --config the reference length sets the horizon, so the bound
+        # must hold for the dataset itself and not only for a built SimConfig
+        path = self._dataset(tmp_path)  # 120 samples
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[simulation]\nsetpoints = 70\nduration_s = 60\n")
+        monkeypatch.setattr(cli.twin, "MAX_SAMPLES", 100)
+        monkeypatch.setattr(
+            cli.matching, "simulate_closed_loop", lambda *a, **k: pytest.fail("simulated")
+        )
+        out = tmp_path / "m.json"
+        flags = ["--config", str(cfg)] if with_config else []
+        code = cli.main(["match", path, "--initial", "datasheet", *flags, "--out", str(out)])
+        assert code == 2
+        assert "at most 100" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_sse_is_computational_error(self, tmp_path, capsys):
         # finite samples whose squared errors overflow a float
         n = 200
@@ -794,14 +814,13 @@ class TestMatchCommand:
 
 
 # SHA-256 of the report's JSON bytes followed by its CSV bytes on the campaign
-# of acceptance criterion c10, recorded once the nu-gap search took both models'
-# pole angles into its grid and the chordal distance became the symmetric
-# closed form; against the bisection run only the nu-gap matrix and its
-# cumulative sums moved, by 2.8e-16 relative, and the winner stayed.  Any
-# change to a fitted coefficient shows here.
+# of acceptance criterion c10, recorded once the nu-gap always checked the
+# winding condition and the report's config lost its winding-mode switch;
+# against the previous run that switch is the only difference, and every CSV
+# byte and nu-gap value stayed.  Any change to a fitted coefficient shows here.
 REPORT_SHA256 = {
-    "sim": "0a9178edc7f850f57d7b568154b3aec45833a0ea5caa12dd7c99768637a45768",
-    "pred": "240ab147efb6844ab3f72a4fea84bd8da39b6cde789a632edaf869f8c238d77e",
+    "sim": "8b28d69df5c93d4f324b804d73dfa298dc6407a158685dfd5eb68bad7c575ce5",
+    "pred": "58e32e1a2799ef5b68989b6ac6d5226d7fabc8d4b4b0eebe5679bcf819732840",
 }
 
 # SHA-256 of the ``match dataset_45.csv --initial datasheet`` JSON on the same

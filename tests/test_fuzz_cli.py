@@ -14,7 +14,8 @@ in-process.  The contract under test:
 Every kind of mutation runs; hypothesis picks where it lands.  No example
 scales up a size the program works in proportion to: the run length, the
 substep count, the nu-gap grid and the sample count only ever shrink or turn
-invalid.  A valid ``match`` takes about 0.2 s, so its examples are the budget.
+invalid.  A valid ``match`` takes well under 0.2 s, so each dataset mutation
+runs 3 examples under both commands.
 """
 
 import contextlib
@@ -192,7 +193,7 @@ def workdir():
 @pytest.mark.parametrize("kind", CSV_KINDS)
 @pytest.mark.parametrize("command", ["discriminate", "match"])
 def test_dataset_mutations_keep_the_contract(inputs, command, kind):
-    @fuzz(3 if command == "discriminate" else 1)
+    @fuzz(3)
     @given(data=csv_bytes(kind), with_good=st.booleans())
     def check(data, with_good):
         with workdir() as work:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.nugap import (
+    DEFAULT_GRID_SIZE,
     MAX_GRID_SIZE,
     NuGapMatrix,
     UnitCirclePoleError,
@@ -14,6 +15,7 @@ from twindisc.nugap import (
     nugap,
     select_nominal,
     _chordal_grid,
+    _poles,
     _response_columns,
     _winding_number,
 )
@@ -75,6 +77,34 @@ def narrow_bump_pair(rng):
     return SimoModel(tf_y=tf_y, tf_u=base.tf_u), base
 
 
+def dense_winding(a, b, n=2**20):
+    """Oracle: encirclements of the origin by 1 + P2* P1 over the full circle,
+    from the phase steps on n uniform frequencies in [0, pi].  The loop is
+    real at 0 and pi, and the lower half mirrors the upper."""
+    x = np.exp(-1j * np.linspace(0.0, np.pi, n))
+
+    def response(tf):
+        return np.polyval(tf.numerator[::-1], x) / np.polyval(tf.denominator[::-1], x)
+
+    pairs = ((a.tf_y, b.tf_y), (a.tf_u, b.tf_u))
+    g = 1.0 + sum(np.conj(response(q)) * response(p) for p, q in pairs)
+    return int(np.round(np.sum(np.angle(g[1:] * np.conj(g[:-1]))) / np.pi))
+
+
+def admissible_pair(rng, degree):
+    """A random model and a copy with its numerators scaled by 1.02: the two
+    stay close, so the pair meets the winding condition."""
+    a = random_simo(rng, degree=degree)
+    tfs = [DiscreteTransferFunction(tf.numerator * 1.02, tf.denominator, tf.sample_time)
+           for tf in (a.tf_y, a.tf_u)]
+    return a, SimoModel(*tfs)
+
+
+def scalar(gain, pole):
+    """gain / (z - pole) at a sample time of 1."""
+    return DiscreteTransferFunction([0.0, gain], [1.0, -pole], 1.0)
+
+
 def dense_gap(a, b):
     """Oracle: the largest chordal distance on 2^17 uniform frequencies plus
     2^14 within 0.02 rad of every pole angle of either model."""
@@ -120,13 +150,16 @@ class TestNugap:
 
     def test_range_and_symmetry(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = random_simo(rng, degree=2)
-            b = random_simo(rng, degree=3)
+        pairs = [(random_simo(rng, degree=2), random_simo(rng, degree=3)) for _ in range(20)]
+        # about a third of the random pairs fail the winding condition and
+        # score 1.0; the close pairs always reach the peak refinement
+        close = [admissible_pair(rng, degree=3) for _ in range(10)]
+        for a, b in pairs + close:
             g_ab = nugap(a, b, grid_size=256)
             g_ba = nugap(b, a, grid_size=256)
             assert 0.0 <= g_ab <= 1.0
             assert g_ab == pytest.approx(g_ba, abs=1e-9)
+        assert all(nugap(a, b, grid_size=256) < 1.0 for a, b in close)
 
     def test_swapping_models_is_exact(self):
         rng = np.random.default_rng(7)
@@ -166,12 +199,13 @@ class TestNugap:
 
     def test_grid_doubling_stability(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = random_simo(rng, degree=3)
-            b = random_simo(rng, degree=3)
+        pairs = [(random_simo(rng, degree=3), random_simo(rng, degree=3)) for _ in range(10)]
+        close = [admissible_pair(rng, degree=3) for _ in range(10)]
+        for a, b in pairs + close:
             g1 = nugap(a, b, grid_size=512)
             g2 = nugap(a, b, grid_size=1024)
             assert abs(g1 - g2) < 1e-3
+        assert all(nugap(a, b, grid_size=512) < 1.0 for a, b in close)
 
     def test_sample_time_mismatch_rejected(self):
         rng = np.random.default_rng(5)
@@ -194,18 +228,16 @@ class TestNugap:
         with pytest.raises(UnitCirclePoleError):
             nugap(integrator, healthy, grid_size=128)
 
-    def test_strict_winding_agrees_on_close_stable_pairs(self):
+    def test_close_stable_pairs_score_below_one(self):
         rng = np.random.default_rng(6)
         base = random_stable_tf(rng, degree=2)
         num = base.numerator * 1.02
         near = DiscreteTransferFunction(num, base.denominator, base.sample_time)
-        assert nugap(base, near, grid_size=256, strict_winding=True) == pytest.approx(
-            nugap(base, near, grid_size=256), abs=1e-9
-        )
+        assert 0.0 < nugap(base, near, grid_size=256) < 1.0
 
     def test_winding_counter_on_synthetic_loop(self):
         # a delayed channel against a strong static gain drives det(I + P2* P1)
-        # around the origin, which the strict mode must flag
+        # around the origin, so the pair fails the winding condition
         delay = DiscreteTransferFunction([0.0, 3.0], [1.0], 1.0)
         gain = DiscreteTransferFunction([3.0], [1.0], 1.0)
         omegas = np.linspace(0.0, np.pi, 512)
@@ -213,7 +245,33 @@ class TestNugap:
             _response_columns(delay, omegas), _response_columns(gain, omegas)
         )
         assert winding != 0 or min_mag < 1e-9
-        assert nugap(delay, gain, grid_size=512, strict_winding=True) == 1.0
+        assert nugap(delay, gain, grid_size=512) == 1.0
+
+    @pytest.mark.parametrize(
+        "a, b, gap",
+        [
+            (scalar(0.01, 2.0), scalar(0.005, 0.5), 1.0),
+            (scalar(10.0, 2.0), scalar(5.0, 0.5), 20 / 101),
+            (scalar(0.1, 1.001), scalar(0.1, 0.999), 200 / 10001),
+        ],
+        ids=["weak_unstable_mirror", "strong_unstable_mirror", "near_integrators"],
+    )
+    def test_winding_condition_counts_unstable_poles(self, a, b, gap):
+        # one model of each pair has one pole outside the unit circle, so
+        # det(1 + P2* P1) must wind once round the origin.  The weak mirror
+        # pair does not, though its chordal distance peaks at 0.02; the
+        # others do, and score their chordal supremum, reached at omega 0
+        assert nugap(a, b) == pytest.approx(gap, rel=1e-9)
+        assert nugap(b, a) == pytest.approx(gap, rel=1e-9)
+
+    def test_narrow_bump_winding_matches_dense_grid(self):
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            a, b = narrow_bump_pair(rng)
+            angles = np.abs(np.angle(np.concatenate([_poles(a), _poles(b)])))
+            omegas = np.union1d(np.linspace(0.0, np.pi, DEFAULT_GRID_SIZE), angles)
+            winding, _ = _winding_number(_response_columns(a, omegas), _response_columns(b, omegas))
+            assert winding == dense_winding(a, b)
 
 
 class TestSelection:
