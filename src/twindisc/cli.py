@@ -20,7 +20,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
-from . import coding, configio, criteria, matching, sysid, twin
+from . import coding, configio, criteria, lti, matching, twin
 from .nugap import (
     DEFAULT_GRID_SIZE,
     MAX_GRID_SIZE,
@@ -46,7 +46,7 @@ _REPORT_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class DiscriminateOptions:
-    orders: tuple = sysid.DEFAULT_ORDER_LABELS
+    orders: tuple = lti.DEFAULT_ORDER_LABELS
     precision: int = coding.DEFAULT_PRECISION
     naic_form: str = "normalized"
     nugap_grid: int = DEFAULT_GRID_SIZE
@@ -56,7 +56,7 @@ class DiscriminateOptions:
     def __post_init__(self):
         # checked here so that a bad value fails before any identification
         for label in self.orders:
-            sysid.OrderSpec.from_label(label)
+            lti.OrderSpec.from_label(label)
             if self.orders.count(label) > 1:
                 raise ValueError(f"order {label} is listed more than once")
         coding.encode_number(0.0, self.precision)  # the codec's own range check
@@ -161,11 +161,13 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
     report and the model the nu-gap stage uses (None without a consensus).
     Raises FitFailureError when no order could be identified.
     """
+    from . import sysid  # scipy loads here, so match and simulate never load it
+
     family = sysid.identify_family(dataset, opts.orders, opts.seed)
     errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in family.errors]
     if not family.models:
         # an order without a model had a channel fail, so errors is not empty
-        raise sysid.FitFailureError(f"no order was identified; first error: {errors[0]}")
+        raise lti.FitFailureError(f"no order was identified; first error: {errors[0]}")
 
     rows = []
     # lower is better for every criterion, so information gain enters negated
@@ -404,7 +406,7 @@ def cmd_discriminate(args):
         print(f"wrote {json_path}")
         print(f"wrote {csv_path}")
         if not report["datasets"]:
-            raise sysid.FitFailureError("no dataset was identified: " + "; ".join(errors))
+            raise lti.FitFailureError("no dataset was identified: " + "; ".join(errors))
 
     return work
 
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis = sub.add_parser("discriminate", help="identify, score and select models")
     p_dis.add_argument("datasets", nargs="+", help="dataset CSV paths")
     p_dis.add_argument("--out", required=True, help="report path (JSON + CSV emitted)")
-    p_dis.add_argument("--orders", default=",".join(sysid.DEFAULT_ORDER_LABELS))
+    p_dis.add_argument("--orders", default=",".join(lti.DEFAULT_ORDER_LABELS))
     p_dis.add_argument("--precision", type=int, default=coding.DEFAULT_PRECISION)
     p_dis.add_argument("--naic-form", choices=criteria.NAIC_FORMS, default="normalized")
     p_dis.add_argument("--nugap-grid", type=int, default=DEFAULT_GRID_SIZE)
@@ -524,7 +526,7 @@ def main(argv=None) -> int:
     try:
         work()
     except (
-        twin.SimulationDivergedError, matching.MatchFailureError, sysid.FitFailureError
+        twin.SimulationDivergedError, matching.MatchFailureError, lti.FitFailureError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

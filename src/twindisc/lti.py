@@ -5,6 +5,10 @@ Polynomials are plain coefficient arrays in the unit-delay operator:
 from the undelayed tap to the most delayed one.  Models hold read-only
 arrays; every operation here is a pure function, safe to call
 concurrently.
+
+This module loads no scipy, so the model-order vocabulary that the CLI
+checks its options against lives here, and the BLAS filter lives in
+:mod:`twindisc.sysid`, its one hot caller.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 
 class InvalidModelError(ValueError):
@@ -78,27 +81,41 @@ class SimoModel:
         return self.tf_y.sample_time
 
 
-def denominator_band(f, n: int) -> np.ndarray:
-    """Monic F as the band of its n x n lower-triangular Toeplitz matrix.
-
-    Row d holds the z^-d tap in every column, the BLAS band layout.  The
-    array is Fortran-ordered so that BLAS reads it without a copy.
-    """
-    return np.repeat(np.asarray(f, dtype=float)[None, :], n, 0).T
+DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
 
 
-def forward_solve(band: np.ndarray, w) -> np.ndarray:
-    """Zero-state response of 1/F to ``w``: forward substitution F y = w.
-
-    ``band`` comes from :func:`denominator_band`; its z^0 row is taken as 1.
-    """
-    return dtbsv(band.shape[0] - 1, band, w, lower=1, diag=1)
+class FitFailureError(RuntimeError):
+    """No start of an output-error fit produced a stable iterate."""
 
 
-def lfilter(b, f, x) -> np.ndarray:
-    """Zero-state response (B/F)x for a monic F; ``f[0]`` is taken as 1."""
-    x = np.asarray(x, dtype=float)
-    return forward_solve(denominator_band(f, x.size), np.convolve(x, b)[: x.size])
+@dataclass(frozen=True)
+class OrderSpec:
+    """Polynomial orders (nb, nc, nd, nf) and input delay nk of one model."""
+
+    nb: int
+    nc: int
+    nd: int
+    nf: int
+    nk: int = 1
+
+    def __post_init__(self):
+        for name in ("nb", "nc", "nd", "nf"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.nk < 0:
+            raise ValueError("nk must be >= 0")
+
+    @property
+    def label(self) -> str:
+        return f"{self.nb}{self.nc}{self.nd}{self.nf}{self.nk}"
+
+    @classmethod
+    def from_label(cls, label: str) -> "OrderSpec":
+        label = str(label)
+        if len(label) != 5 or not label.isdigit():
+            raise ValueError(f"order label must be 5 digits like '22221', got {label!r}")
+        nb, nc, nd, nf, nk = (int(ch) for ch in label)
+        return cls(nb=nb, nc=nc, nd=nd, nf=nf, nk=nk)
 
 
 def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:
@@ -114,6 +131,8 @@ def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:
         raise InvalidModelError(
             f"denominator z^0 coefficient must be 1, got {tf.denominator[0]}"
         )
+    from .sysid import lfilter  # the one module that loads scipy
+
     return lfilter(tf.numerator, tf.denominator, u)
 
 

@@ -11,6 +11,11 @@ matching-order ARX estimate plus seeded perturbations.  The noise part C/D
 is then fitted on the simulation residuals in the Hannan-Rissanen style
 (long AR for innovations, then linear least squares).  Everything that
 scores models uses only B/F, so the two stages never need a joint search.
+
+This is the one module of the package that imports scipy (its BLAS and
+LAPACK wrappers), so only model fitting pays for loading it.  The import
+stays at module level: a caller that imports this module up front pays for
+scipy there, not inside its first fit.
 """
 
 from __future__ import annotations
@@ -18,19 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .lm import CONVERGED_REASONS, multistart
 from .lti import (
+    DEFAULT_ORDER_LABELS,
     DiscreteTransferFunction,
+    FitFailureError,
+    OrderSpec,
     SimoModel,
     coefficients,
-    denominator_band,
-    forward_solve,
-    lfilter,
 )
 
-DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
 _STABILITY_MARGIN = 1e-6
 
 MAX_ITER = 200  # LM iterations per start
@@ -39,38 +44,27 @@ N_STARTS = 5  # the ARX initializer plus seeded perturbations of it
 PERTURBATION = 0.2  # perturbation scale, relative to 1 + |theta|
 
 
-class FitFailureError(RuntimeError):
-    """No start of an output-error fit produced a stable iterate."""
+def denominator_band(f, n: int) -> np.ndarray:
+    """Monic F as the band of its n x n lower-triangular Toeplitz matrix.
+
+    Row d holds the z^-d tap in every column, the BLAS band layout.  The
+    array is Fortran-ordered so that BLAS reads it without a copy.
+    """
+    return np.repeat(np.asarray(f, dtype=float)[None, :], n, 0).T
 
 
-@dataclass(frozen=True)
-class OrderSpec:
-    """Polynomial orders (nb, nc, nd, nf) and input delay nk of one model."""
+def forward_solve(band: np.ndarray, w) -> np.ndarray:
+    """Zero-state response of 1/F to ``w``: forward substitution F y = w.
 
-    nb: int
-    nc: int
-    nd: int
-    nf: int
-    nk: int = 1
+    ``band`` comes from :func:`denominator_band`; its z^0 row is taken as 1.
+    """
+    return dtbsv(band.shape[0] - 1, band, w, lower=1, diag=1)
 
-    def __post_init__(self):
-        for name in ("nb", "nc", "nd", "nf"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.nk < 0:
-            raise ValueError("nk must be >= 0")
 
-    @property
-    def label(self) -> str:
-        return f"{self.nb}{self.nc}{self.nd}{self.nf}{self.nk}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "OrderSpec":
-        label = str(label)
-        if len(label) != 5 or not label.isdigit():
-            raise ValueError(f"order label must be 5 digits like '22221', got {label!r}")
-        nb, nc, nd, nf, nk = (int(ch) for ch in label)
-        return cls(nb=nb, nc=nc, nd=nd, nf=nf, nk=nk)
+def lfilter(b, f, x) -> np.ndarray:
+    """Zero-state response (B/F)x for a monic F; ``f[0]`` is taken as 1."""
+    x = np.asarray(x, dtype=float)
+    return forward_solve(denominator_band(f, x.size), np.convolve(x, b)[: x.size])
 
 
 def _coerce_order(order) -> OrderSpec:

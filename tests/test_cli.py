@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from twindisc import cli, criteria
+from twindisc import cli, criteria, sysid
 from twindisc.twin import TimeSeriesDataset, read_csv, write_csv
 
 CONFIG = """\
@@ -52,21 +52,48 @@ def campaign_files(tmp_path):
     ]
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # scipy.signal pulls in scipy.stats, scipy.interpolate and scipy.optimize
-    # and used to cost most of the start-up time of every command
+SCIPY_PER_COMMAND = """\
+import json, sys
+
+from twindisc import cli
+
+config, params, out = sys.argv[1:]
+datasets = [f"{out}/dataset_30.csv", f"{out}/dataset_50.csv"]
+runs = {
+    "import": None,
+    "simulate": ["simulate", "--config", config, "--params", params, "--out-dir", out],
+    "match": ["match", datasets[0], "--config", config, "--out", f"{out}/m.json"],
+    "discriminate": ["discriminate", *datasets, "--out", f"{out}/r.json"],
+}
+seen = {}
+for name, argv in runs.items():
+    code = cli.main(argv) if argv else 0
+    seen[name] = [code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]
+print(json.dumps(seen))
+"""
+
+
+def test_only_discriminate_loads_scipy(tmp_path):
+    # importing scipy.linalg costs about half of a command's start-up, and
+    # only model fitting uses it; run in a fresh interpreter, since this one
+    # has scipy loaded already
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(CONFIG)
+    params = tmp_path / "params.ini"
+    params.write_text(PARAMS)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, twindisc.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCIPY_PER_COMMAND, str(cfg), str(params), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["simulate"] == seen["match"] == [0, []]
+    code, loaded = seen["discriminate"]
+    assert code == 0
+    assert "scipy.linalg" in loaded
 
 
 class TestSimulateCommand:
@@ -499,7 +526,7 @@ class TestDiscriminateCommand:
         self, tmp_path, campaign_files, monkeypatch, capsys, precision
     ):
         monkeypatch.setattr(
-            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+            sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
         out = tmp_path / "r"
         code = cli.main(
@@ -513,7 +540,7 @@ class TestDiscriminateCommand:
         self, tmp_path, campaign_files, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+            sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
         out = tmp_path / "r"
         code = cli.main(
@@ -554,7 +581,7 @@ class TestDiscriminateCommand:
         huge = tmp_path / "huge.csv"
         write_csv(TimeSeriesDataset(ds.t, ds.r, ds.u * scale, ds.y * scale), huge)
         monkeypatch.setattr(
-            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+            sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
         out = tmp_path / "r"
         code = cli.main(["discriminate", str(huge), "--out", str(out), "--precision", precision])
@@ -584,7 +611,7 @@ class TestDiscriminateCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+            sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
         paths = []
         for i, sub in enumerate(("a", "b")):
@@ -602,7 +629,7 @@ class TestDiscriminateCommand:
         self, campaign_files, monkeypatch
     ):
         monkeypatch.setattr(
-            cli.sysid, "identify_family", lambda *a: pytest.fail("identification ran")
+            sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
         datasets = [read_csv(campaign_files[0])]
         for field in ("naic_form", "residual_source"):

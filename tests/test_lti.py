@@ -7,12 +7,11 @@ from twindisc.lti import (
     InvalidModelError,
     NearPoleError,
     SimoModel,
-    denominator_band,
     frequency_response,
     coefficients,
-    lfilter,
     simulate,
 )
+from twindisc.sysid import denominator_band, lfilter
 
 from helpers import REFERENCE_FAMILY_50C, pole_magnitudes, random_stable_poly, random_stable_tf
 
