@@ -9,7 +9,7 @@ run settles.
 
 import numpy as np
 
-from twindisc import PeltierParams, SensorConfig, SimConfig, generate_campaign
+from twindisc.twin import PeltierParams, SensorConfig, SimConfig, generate_campaign
 
 MATCHED = {
     30.0: PeltierParams(alpha=0.0963, r_ohm=3.3, k_cond=0.30, c_heat=34.9),

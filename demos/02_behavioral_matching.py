@@ -8,15 +8,8 @@ starting from the datasheet guess.  The electrical resistance stays pinned
 at its measured 3.3 ohm.
 """
 
-from twindisc import (
-    INITIAL_GUESS_PRESETS,
-    MatchProblem,
-    PeltierParams,
-    SensorConfig,
-    SimConfig,
-    match_parameters,
-    simulate_closed_loop,
-)
+from twindisc.matching import INITIAL_GUESS_PRESETS, MatchProblem, match_parameters
+from twindisc.twin import PeltierParams, SensorConfig, SimConfig, simulate_closed_loop
 
 truth = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=0.286, c_heat=11.1)
 cfg = SimConfig(setpoint=70.0, duration=300.0, sensor=SensorConfig())

@@ -8,16 +8,10 @@ MDL criteria.  Higher information gain is better; the other three prefer
 smaller values.
 """
 
-from twindisc import (
-    PeltierParams,
-    PidConfig,
-    SensorConfig,
-    SimConfig,
-    identify_family,
-    simo_criteria,
-    simo_information_gain,
-    simulate_closed_loop,
-)
+from twindisc.coding import simo_information_gain
+from twindisc.criteria import simo_criteria
+from twindisc.sysid import identify_family
+from twindisc.twin import PeltierParams, PidConfig, SensorConfig, SimConfig, simulate_closed_loop
 
 params = PeltierParams(alpha=0.05, r_ohm=3.3, k_cond=0.3, c_heat=15.0)
 cfg = SimConfig(

@@ -8,16 +8,13 @@ others is the nominal one: a controller designed against it degrades least
 across the whole family.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from twindisc import (
-    PeltierParams,
-    SensorConfig,
-    SimConfig,
-    generate_campaign,
-    identify_family,
-    select_nominal,
-)
+from twindisc.nugap import select_nominal
+from twindisc.sysid import identify_family
+from twindisc.twin import PeltierParams, SensorConfig, SimConfig, generate_campaign
 
 MATCHED = {
     30.0: PeltierParams(alpha=0.0963, r_ohm=3.3, k_cond=0.30, c_heat=34.9),
@@ -30,11 +27,11 @@ base = SimConfig(setpoint=30.0, duration=400.0, sensor=SensorConfig(noise_std=0.
 datasets = generate_campaign(MATCHED, base, seed=0)
 
 print("identifying one order-2 SIMO model per setpoint ...")
-models = []
-for ds in datasets:
-    family = identify_family(ds, order_labels=("22221",))
-    model = family.models["22221"]
-    models.append(type(model)(tf_y=model.tf_y, tf_u=model.tf_u, label=ds.label))
+# each model is labelled by its dataset, so the matrix names the setpoints
+models = [
+    replace(identify_family(ds, order_labels=("22221",)).models["22221"], label=ds.label)
+    for ds in datasets
+]
 
 matrix, winner, tie = select_nominal(models)
 

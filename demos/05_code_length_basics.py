@@ -9,8 +9,13 @@ model that stores the raw observations.
 
 import numpy as np
 
-from twindisc import encode_number, information_gain, table_length
-from twindisc.coding import MODEL_PROGRAM_LENGTH, TRIVIAL_PROGRAM_LENGTH
+from twindisc.coding import (
+    MODEL_PROGRAM_LENGTH,
+    TRIVIAL_PROGRAM_LENGTH,
+    encode_number,
+    information_gain,
+    table_length,
+)
 
 print("number codec at two decimals:")
 for value in (10.34, -0.45, 0.0, 123.456):

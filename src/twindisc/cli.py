@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 import jsonschema
@@ -158,7 +158,7 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
     """Identify the model family on one dataset and score every order.
 
     Every order is scored from its fits' own residuals.  Returns the dataset's
-    report and the model the nu-gap stage uses (None without a consensus).
+    report and its consensus model labelled by the dataset (None without one).
     Raises FitFailureError when no order could be identified.
     """
     from . import sysid  # scipy loads here, so match and simulate never load it
@@ -226,7 +226,9 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         "nugap_model_order": order_for_gap,
         "errors": errors,
     }
-    return report, family.models.get(order_for_gap) if order_for_gap else None
+    if not order_for_gap:
+        return report, None
+    return report, replace(family.models[order_for_gap], label=dataset.label)
 
 
 def discriminate_datasets(
@@ -239,7 +241,7 @@ def discriminate_datasets(
     omitted (with a note) when fewer than two are available.
     """
     dataset_reports: list = []
-    gap_entries: list = []
+    gap_models: list = []
     errors: list = []
     for dataset in datasets:
         try:
@@ -249,23 +251,21 @@ def discriminate_datasets(
             continue
         dataset_reports.append(report)
         if gap_model is not None:
-            gap_entries.append((report["label"], gap_model))
+            gap_models.append(gap_model)
 
     nugap_section = None
     nugap_note = ""
-    if len(gap_entries) < 2:
+    if len(gap_models) < 2:
         nugap_note = "nu-gap selection needs >=2 identified models; section omitted"
     else:
         try:
-            models = [m for _, m in gap_entries]
-            matrix, winner, tie = select_nominal(models, grid_size=opts.nugap_grid)
-            labels = [lbl for lbl, _ in gap_entries]
+            matrix, winner, tie = select_nominal(gap_models, grid_size=opts.nugap_grid)
             nugap_section = {
-                "labels": labels,
+                "labels": list(matrix.labels),
                 "matrix": [[float(v) for v in row] for row in matrix.values],
                 "cumulative": [float(v) for v in matrix.cumulative],
                 "winner_index": winner,
-                "winner_label": labels[winner],
+                "winner_label": matrix.labels[winner],
                 "tie": tie,
             }
         except (UnitCirclePoleError, ValueError) as exc:

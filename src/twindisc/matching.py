@@ -15,6 +15,7 @@ import numpy as np
 
 from .lm import CONVERGED_REASONS, multistart
 from .twin import (
+    MIN_SAMPLES,
     PeltierParams,
     SensorConfig,
     SimConfig,
@@ -75,10 +76,12 @@ class MatchProblem:
         w_y, w_u = self.weights
         if not (0.0 <= w_y < math.inf and 0.0 <= w_u < math.inf) or w_y == w_u == 0.0:
             raise ValueError("weights must be finite, nonnegative and not both zero")
+        n = len(self.dataset)
+        if n < MIN_SAMPLES:
+            raise ValueError(f"dataset has {n} samples, matching needs at least {MIN_SAMPLES}")
         ts = self.dataset.sample_time
         cfg = self.sim_config
         if cfg is None:
-            n = len(self.dataset)
             cfg = SimConfig(setpoint=float(self.dataset.r[-1]), duration=n * ts, sample_time=ts)
         elif abs(cfg.sample_time - ts) > 1e-9 * ts:
             raise ValueError(

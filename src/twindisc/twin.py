@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 KELVIN_OFFSET = 273.15
+MIN_SAMPLES = 50
 MAX_SAMPLES = 1_000_000
 
 
@@ -104,8 +105,8 @@ class SimConfig:
     def __post_init__(self):
         if self.sample_time <= 0.0:
             raise ValueError("sample_time must be > 0")
-        if self.duration / self.sample_time < 50:
-            raise ValueError("need at least 50 samples (duration/sample_time)")
+        if self.duration / self.sample_time < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples (duration/sample_time)")
         if self.duration / self.sample_time > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} samples (duration/sample_time)")
         if self.ode_substeps < 1:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import scipy.signal
 
 from twindisc import cli, criteria, sysid
+from twindisc.lti import DiscreteTransferFunction
 from twindisc.twin import TimeSeriesDataset, read_csv, write_csv
 
 CONFIG = """\
@@ -337,6 +339,26 @@ class TestDiscriminateCommand:
         cli.validate_report(report)
         assert report["nugap"] is None
         assert ">=2" in report["nugap_note"]
+
+    def test_failing_nugap_pair_note_names_the_dataset(self, campaign_files, monkeypatch):
+        identify = sysid.identify_family
+
+        def integrator_on_set_1(dataset, orders, seed):
+            family = identify(dataset, orders, seed)
+            if dataset.label != "set_1":
+                return family
+            model = family.models["22221"]
+            integrator = DiscreteTransferFunction([0.0, 1.0], [1.0, -1.0], model.sample_time)
+            return replace(family, models={"22221": replace(model, tf_y=integrator)})
+
+        monkeypatch.setattr(sysid, "identify_family", integrator_on_set_1)
+        report = cli.discriminate_datasets(
+            [read_csv(path) for path in campaign_files], cli.DiscriminateOptions(orders=("22221",))
+        )
+        assert report["nugap"] is None
+        assert report["nugap_note"].startswith(
+            "nu-gap selection failed: model 'set_1' has a pole within"
+        )
 
     def test_precision_flag_moves_only_coding_scores(self, tmp_path, campaign_files):
         reports = {}
@@ -799,6 +821,28 @@ class TestMatchCommand:
         code = cli.main(["match", path, "--initial", "datasheet", *flags, "--out", str(out)])
         assert code == 2
         assert "at most 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_config", [False, True], ids=["preset", "config"])
+    def test_dataset_under_the_sample_floor_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, with_config
+    ):
+        # one length rule, whether or not --config sets the twin's horizon
+        lines = open(self._dataset(tmp_path)).read().splitlines()
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(lines[:31]) + "\n")  # the header and 30 samples
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[simulation]\nsetpoints = 70\nduration_s = 120\n")
+        monkeypatch.setattr(
+            cli.matching, "simulate_closed_loop", lambda *a, **k: pytest.fail("simulated")
+        )
+        out = tmp_path / "m.json"
+        flags = ["--config", str(cfg)] if with_config else []
+        code = cli.main(["match", str(path), "--initial", "datasheet", *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dataset has 30 samples, matching needs at least 50" in err
+        assert "duration" not in err
         assert not out.exists()
 
     def test_infinite_sse_is_computational_error(self, tmp_path, capsys):

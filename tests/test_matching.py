@@ -11,7 +11,13 @@ from twindisc.matching import (
     match_parameters,
     sse_cost,
 )
-from twindisc.twin import PeltierParams, SensorConfig, SimConfig, simulate_closed_loop
+from twindisc.twin import (
+    MIN_SAMPLES,
+    PeltierParams,
+    SensorConfig,
+    SimConfig,
+    simulate_closed_loop,
+)
 
 TRUTH_70 = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=0.286, c_heat=11.1)
 
@@ -248,6 +254,20 @@ class TestMatchParameters:
         assert problem.sim_config.sample_time == 20.0
         assert problem.sim_config.n_samples == 100
         assert sse_cost(problem, TRUTH_70) <= 1e-9
+
+    @pytest.mark.parametrize("with_config", [False, True], ids=["default", "config"])
+    def test_one_sample_floor_with_or_without_config(self, with_config):
+        cfg = SimConfig(setpoint=70.0, duration=float(MIN_SAMPLES), sensor=SensorConfig())
+        dataset = simulate_closed_loop(TRUTH_70, cfg)
+        short = simulate_closed_loop(TRUTH_70, cfg, reference=dataset.r[1:])
+        kw = {
+            "initial": INITIAL_GUESS_PRESETS["datasheet"],
+            "sim_config": cfg if with_config else None,
+        }
+        assert len(MatchProblem(dataset=dataset, **kw).dataset) == MIN_SAMPLES
+        message = f"dataset has {MIN_SAMPLES - 1} samples, matching needs at least {MIN_SAMPLES}"
+        with pytest.raises(ValueError, match=message):
+            MatchProblem(dataset=short, **kw)
 
     def test_sim_config_sample_time_mismatch_rejected(self):
         cfg = SimConfig(setpoint=70.0, duration=60.0, sample_time=0.5, sensor=SensorConfig())

@@ -1,25 +1,45 @@
-import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import twindisc
 from twindisc import cli, lti, sysid
 
-
-def test_every_public_name_is_its_submodules_object():
-    for name in twindisc.__all__:
-        home = importlib.import_module(f"twindisc.{twindisc._SUBMODULE_OF[name]}")
-        want = home if home.__name__ == f"twindisc.{name}" else getattr(home, name)
-        # __getattr__ itself, since earlier accesses cache names in the package
-        assert twindisc.__getattr__(name) is want
-        assert getattr(twindisc, name) is want
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def test_dir_and_star_import_cover_the_public_names():
-    assert set(twindisc.__all__) <= set(dir(twindisc))
-    namespace = {}
-    exec("from twindisc import *", namespace)
-    assert set(twindisc.__all__) <= set(namespace)
+def fresh_python(*args):
+    """Run a new interpreter on the checkout's sources; this one has them all loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_module_entry_point_help_exits_0():
+    proc = fresh_python("-m", "twindisc", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: twindisc ")
+
+
+def test_module_entry_point_usage_error_exits_2():
+    proc = fresh_python("-m", "twindisc", "match")
+    assert proc.returncode == 2
+    assert "the following arguments are required: dataset" in proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    proc = fresh_python(
+        "-c",
+        "import sys, twindisc; "
+        "print(sorted(m for m in sys.modules if m.startswith('twindisc.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -29,7 +49,7 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_fit_failure_is_one_class_and_exits_1(tmp_path, monkeypatch):
-    assert sysid.FitFailureError is lti.FitFailureError is twindisc.FitFailureError
+    assert sysid.FitFailureError is lti.FitFailureError
     assert sysid.OrderSpec is lti.OrderSpec
     assert sysid.DEFAULT_ORDER_LABELS is lti.DEFAULT_ORDER_LABELS
 
