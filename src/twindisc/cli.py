@@ -15,9 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import coding, configio, criteria, lti, matching, twin
@@ -116,17 +114,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
-
-
-def load_report_schema() -> dict:
-    with resources.files("twindisc.schemas").joinpath(
-        "discrimination_report.schema.json"
-    ).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def validate_report(report: dict) -> None:
-    jsonschema.validate(report, load_report_schema())
 
 
 def _best_orders(labels: list, scores: dict) -> tuple[dict, dict]:
@@ -316,10 +303,15 @@ def _report_paths(out_path: str) -> tuple[str, str]:
 
 
 def write_report(report: dict, out_path: str) -> tuple[str, str]:
-    """Emit the JSON and CSV forms of a report (validated against the schema)."""
-    validate_report(report)
+    """Emit the JSON and CSV forms of a report.
+
+    The report's shape is fixed by ``twindisc/schemas/``, which the tests
+    check every written report against.  A non-finite number is a bug (``_num``
+    maps the criteria that may be infinite to null): it raises ValueError
+    before either file is written, rather than emit the non-JSON token NaN.
+    """
     json_path, csv_path = _report_paths(out_path)
-    _atomic_write_text(json_path, json.dumps(report, indent=2) + "\n")
+    _atomic_write_text(json_path, json.dumps(report, indent=2, allow_nan=False) + "\n")
     _atomic_write_text(csv_path, report_csv_text(report))
     return json_path, csv_path
 

@@ -75,7 +75,7 @@ def _response_columns(model, omegas) -> np.ndarray:
 
 
 def _label_of(model) -> str:
-    return getattr(model, "label", "") or repr(model)
+    return getattr(model, "label", "")
 
 
 def _poles(model) -> np.ndarray:

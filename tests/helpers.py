@@ -1,5 +1,9 @@
 """Shared test utilities: random stable systems, oracles and reference fixtures."""
 
+import json
+from importlib import resources
+
+import jsonschema
 import numpy as np
 
 from twindisc.lti import DiscreteTransferFunction, SimoModel
@@ -205,3 +209,23 @@ MATCHED_SETS = {
     70.0: (0.0211, 0.286, 11.1),
     90.0: (0.0295, 0.38, 13.7),
 }
+
+
+def load_report_schema() -> dict:
+    """The ``discriminate`` report's contract, as the package ships it."""
+    with resources.files("twindisc.schemas").joinpath(
+        "discrimination_report.schema.json"
+    ).open("r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def validate_report(report: dict) -> None:
+    """Raise jsonschema.ValidationError unless ``report`` follows the schema."""
+    jsonschema.validate(report, load_report_schema())
+
+
+def read_report(path) -> dict:
+    """Load the JSON report at ``path``, a ``pathlib.Path``, checked against the schema."""
+    report = json.loads(path.read_text(encoding="utf-8"))
+    validate_report(report)
+    return report

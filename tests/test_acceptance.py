@@ -5,7 +5,6 @@ lines as they complete.  Budgets are wall-clock upper bounds enforced per
 criterion.
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -32,7 +31,13 @@ from twindisc.twin import (
     write_csv,
 )
 
-from helpers import peltier_derivatives, peltier_heat_flows, random_simo, static_gain_model
+from helpers import (
+    peltier_derivatives,
+    peltier_heat_flows,
+    random_simo,
+    read_report,
+    static_gain_model,
+)
 
 TRUTH_70 = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=0.286, c_heat=11.1)
 
@@ -193,7 +198,7 @@ def test_c07_order_selection_reproduction(tmp_path):
                 ]
             )
             assert code == 0
-            report = json.loads((tmp_path / f"report_{seed}.json").read_text())
+            report = read_report(tmp_path / f"report_{seed}.json")
             best = report["datasets"][0]["best"]
             if all(best[k] == "22221" for k in ("naic", "bic", "mdl")):
                 hits += 1
@@ -289,6 +294,7 @@ def test_c10_pipeline_determinism(tmp_path):
                     "--seed", "11",
                 ]
             ) == 0
+            read_report(tmp_path / f"report_{tag}.json")
             return (
                 (tmp_path / f"report_{tag}.json").read_bytes(),
                 (tmp_path / f"report_{tag}.csv").read_bytes(),

@@ -8,8 +8,9 @@ in-process.  The contract under test:
 - nothing escapes ``cli.main`` but argparse's own ``SystemExit(2)``;
 - a run that exits 1 or 2 says why on stderr, and one that exits 2 writes
   no file;
-- after exit 0, every JSON file written is strict JSON (no NaN or Infinity),
-  and every dataset in the report has at least one order.
+- every JSON file written is strict JSON (no NaN or Infinity), and every
+  report follows its schema;
+- after exit 0, every dataset in the report has at least one order.
 
 Every kind of mutation runs; hypothesis picks where it lands.  No example
 scales up a size the program works in proportion to: the run length, the
@@ -30,6 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twindisc import cli, configio, twin
+
+from helpers import validate_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the shipped config, cut to the shortest run it allows (50 samples at 1 s)
@@ -165,10 +168,11 @@ def run(argv, workdir: Path) -> int:
         assert "error:" in err.getvalue()
     if code == 2:
         assert set(workdir.rglob("*")) == before, "a usage error wrote a file"
-    if code == 0:
-        for path in set(workdir.rglob("*.json")) - before:
-            payload = json.loads(path.read_text(), parse_constant=_reject_constant)
-            if path.name == "report.json":
+    for path in set(workdir.rglob("*.json")) - before:
+        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+        if path.name == "report.json":
+            validate_report(payload)
+            if code == 0:
                 assert payload["datasets"]
                 assert all(ds["orders"] for ds in payload["datasets"])
     return code

@@ -3,9 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-import twindisc
 from twindisc import cli, lti, sysid
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -40,12 +37,6 @@ def test_package_import_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-
-
-def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        twindisc.no_such_name  # noqa: B018
-    assert not hasattr(twindisc, "no_such_name")
 
 
 def test_fit_failure_is_one_class_and_exits_1(tmp_path, monkeypatch):
