@@ -9,6 +9,7 @@ outputs, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -330,16 +331,26 @@ def cmd_simulate(args):
         raise OSError(f"--out-dir: {exc}") from exc
 
     def work():
-        datasets = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
+        # each run goes to <path>.tmp as soon as it is simulated, so one run is
+        # held at a time; the files take their names only once every run succeeded
+        runs = []  # (label, path, samples)
+        try:
+            for ds in twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed):
+                path = os.path.join(args.out_dir, f"dataset_{ds.label}.csv")
+                runs.append((ds.label, path, len(ds)))
+                twin.write_csv(ds, f"{path}.tmp")
+        except BaseException:
+            for _, path, _ in runs:
+                with contextlib.suppress(OSError):
+                    os.remove(f"{path}.tmp")
+            raise
         entries = []
-        for i, ds in enumerate(datasets):
-            name = f"dataset_{ds.label}.csv"
-            path = os.path.join(args.out_dir, name)
-            tmp = f"{path}.tmp"
-            twin.write_csv(ds, tmp)
-            os.replace(tmp, path)
-            entries.append({"label": ds.label, "file": name, "sensor_seed": args.seed + i})
-            print(f"wrote {path} ({len(ds)} samples)")
+        for i, (label, path, samples) in enumerate(runs):
+            os.replace(f"{path}.tmp", path)
+            entries.append(
+                {"label": label, "file": os.path.basename(path), "sensor_seed": args.seed + i}
+            )
+            print(f"wrote {path} ({samples} samples)")
 
         manifest = {
             "seed": args.seed,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 
-from .twin import PeltierParams, PidConfig, SensorConfig, SimConfig
+from .twin import PeltierParams, PidConfig, SensorConfig, SimConfig, setpoint_label
 
 
 class ConfigError(ValueError):
@@ -100,12 +100,20 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
         if not setpoints:
             raise ConfigError(f"{path}: [simulation] setpoints must be non-empty")
         seen = set()
+        labels = {}  # each run's label names its CSV, so two setpoints may not share one
         for sp in setpoints:
             if not math.isfinite(sp):
                 raise ConfigError(f"{path}: [simulation] setpoint {sp:g} is not a finite number")
             if sp in seen:
                 raise ConfigError(f"{path}: [simulation] setpoint {sp:g} is listed more than once")
             seen.add(sp)
+            label = setpoint_label(sp)
+            if label in labels:
+                raise ConfigError(
+                    f"{path}: [simulation] setpoints {labels[label]!r} and {sp!r} "
+                    f"share the label {label!r}"
+                )
+            labels[label] = sp
         cfg = SimConfig(
             setpoint=setpoints[0],
             pid=PidConfig(**_fields(parser, path, "pid", PidConfig, _PID_KEYS)),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -262,25 +263,30 @@ def simulate_closed_loop(
     return TimeSeriesDataset(t, ref, u_trace, y_trace, label=cfg.label)
 
 
+def setpoint_label(setpoint: float) -> str:
+    """A run's label, and the ``dataset_<label>.csv`` name ``simulate`` gives it."""
+    return f"{setpoint:g}"
+
+
 def generate_campaign(
     params_by_setpoint: dict, base_cfg: SimConfig, seed: int = 0
-) -> list[TimeSeriesDataset]:
-    """One dataset per operating point, seeded deterministically per label.
+) -> Iterator[TimeSeriesDataset]:
+    """Yield one dataset per operating point, seeded deterministically per label.
 
     ``params_by_setpoint`` maps a setpoint in degC to its PeltierParams; the
     base config supplies everything else.  The sensor seed of run ``i`` (in
-    ascending setpoint order) is ``seed + i``.
+    ascending setpoint order) is ``seed + i``.  Each run is simulated when
+    the caller asks for it, so a caller that keeps no dataset holds one run
+    at a time, however many setpoints the campaign has.
     """
-    datasets = []
     for i, sp in enumerate(sorted(params_by_setpoint)):
         cfg = replace(
             base_cfg,
             setpoint=float(sp),
-            label=f"{sp:g}",
+            label=setpoint_label(sp),
             sensor=replace(base_cfg.sensor, seed=seed + i),
         )
-        datasets.append(simulate_closed_loop(params_by_setpoint[sp], cfg))
-    return datasets
+        yield simulate_closed_loop(params_by_setpoint[sp], cfg)
 
 
 def write_csv(dataset: TimeSeriesDataset, path) -> None:

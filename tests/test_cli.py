@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -219,6 +220,55 @@ class TestSimulateCommand:
         assert "setpoint 70 is listed more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_campaign_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(CONFIG)
+        params = tmp_path / "params.ini"
+        # the first run succeeds, the second diverges at step 13
+        params.write_text(
+            PARAMS.replace("c_j_per_k = 15.0", "c_j_per_k = 20")
+            + "\n[peltier.50]\nc_j_per_k = 0.001\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset_30.csv").write_text("old")
+        code = cli.main(
+            ["simulate", "--config", str(cfg), "--params", str(params), "--out-dir", str(out)]
+        )
+        assert code == 1
+        assert "non-finite at step 13" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["dataset_30.csv"]
+        assert (out / "dataset_30.csv").read_text() == "old"
+
+    def test_memory_does_not_grow_with_the_campaign(self, tmp_path, monkeypatch):
+        # The closed loop runs about 80 times slower under tracemalloc, so a stand-in
+        # returns fresh 600-sample columns: what is measured is what the
+        # command keeps of its runs, not what one run allocates.
+        def run(params, cfg):
+            t = np.arange(cfg.n_samples) * cfg.sample_time
+            return TimeSeriesDataset(t, t + cfg.setpoint, 0.5 * t, t - 1.0, label=cfg.label)
+
+        monkeypatch.setattr(cli.twin, "simulate_closed_loop", run)
+        params = tmp_path / "params.ini"
+        params.write_text(PARAMS)
+
+        def peak(n):
+            cfg = tmp_path / f"sim_{n}.ini"
+            setpoints = ", ".join(str(30 + i) for i in range(n))
+            cfg.write_text(f"[simulation]\nsetpoints = {setpoints}\nduration_s = 600\n")
+            argv = ["simulate", "--config", str(cfg), "--params", str(params),
+                    "--out-dir", str(tmp_path / f"out_{n}")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call caches stay out of the comparison
+        # holding every run would add 60 x 600 x 4 float64 values, 1,125 KiB
+        assert peak(64) - peak(4) < 100 * 1024
+
     @pytest.mark.parametrize(
         "config, params, message",
         [
@@ -233,9 +283,12 @@ class TestSimulateCommand:
              "sim.ini: [simulaton]: unknown section"),
             (CONFIG, PARAMS + "[pelteir.30]\nr_ohm = 1.0\n",
              "params.ini: [pelteir.30]: unknown section"),
+            (CONFIG.replace("30, 50", "30.000001, 30.000002"), PARAMS,
+             "setpoints 30.000001 and 30.000002 share the label '30'"),
         ],
         ids=["unknown_sim_key", "unknown_sensor_key", "repeated_setpoint_section",
-             "too_many_samples", "misspelled_sim_section", "misspelled_params_section"],
+             "too_many_samples", "misspelled_sim_section", "misspelled_params_section",
+             "setpoints_sharing_a_label"],
     )
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, config, params, message):
         cfg = tmp_path / "sim.ini"

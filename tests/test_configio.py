@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from twindisc.configio import (
@@ -85,6 +87,22 @@ class TestSimConfigFile:
         path.write_text("[simulation]\nsetpoints = 40\n")
         cfg, _ = load_sim_config(path)
         assert cfg == SimConfig(setpoint=40.0)
+
+    @pytest.mark.parametrize(
+        "setpoints, message",
+        [
+            ("0, -0", "setpoint -0 is listed more than once"),
+            ("30.000001, 50, 30.000002",
+             "setpoints 30.000001 and 30.000002 share the label '30'"),
+            ("1e-7, 1.0000004e-7", "setpoints 1e-07 and 1.0000004e-07 share the label '1e-07'"),
+        ],
+        ids=["signed_zero", "rounded_apart", "exponent"],
+    )
+    def test_setpoints_need_distinct_labels(self, tmp_path, setpoints, message):
+        path = tmp_path / "sim.ini"
+        path.write_text(f"[simulation]\nsetpoints = {setpoints}\n")
+        with pytest.raises(ConfigError, match=rf"sim.ini: \[simulation\] {re.escape(message)}"):
+            load_sim_config(path)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.ini"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twindisc import twin
 from twindisc.twin import (
     KELVIN_OFFSET,
     MAX_SAMPLES,
@@ -248,7 +249,7 @@ class TestCampaign:
     def test_four_setpoints_settle(self):
         params = {sp: params_for(sp) for sp in MATCHED_SETS}
         base = clean_cfg(30.0)
-        datasets = generate_campaign(params, base, seed=5)
+        datasets = list(generate_campaign(params, base, seed=5))
         assert [ds.label for ds in datasets] == ["30", "50", "70", "90"]
         for sp, ds in zip(sorted(MATCHED_SETS), datasets):
             assert abs(ds.y[-1] - sp) < 1.0
@@ -256,9 +257,22 @@ class TestCampaign:
     def test_identical_params_pass_through(self):
         p = params_for(50.0)
         base = clean_cfg(40.0)
-        datasets = generate_campaign({40.0: p, 60.0: p}, base, seed=1)
+        datasets = list(generate_campaign({40.0: p, 60.0: p}, base, seed=1))
         assert datasets[0].r[0] == 40.0
         assert datasets[1].r[0] == 60.0
+
+    def test_runs_are_simulated_as_they_are_taken(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            twin, "simulate_closed_loop", lambda params, cfg: calls.append(cfg) or cfg.label
+        )
+        params = {sp: params_for(sp) for sp in (50.0, 30.0)}
+        runs = generate_campaign(params, clean_cfg(30.0), seed=7)
+        assert calls == []
+        assert next(runs) == "30"
+        assert [cfg.sensor.seed for cfg in calls] == [7]
+        assert list(runs) == ["50"]
+        assert [cfg.sensor.seed for cfg in calls] == [7, 8]
 
     def test_campaign_repetition_is_bit_identical(self):
         params = {sp: params_for(sp) for sp in (30.0, 50.0)}
