@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import coding, configio, criteria, lti, matching, twin
-from .nugap import (
-    DEFAULT_GRID_SIZE,
-    MAX_GRID_SIZE,
-    UnitCirclePoleError,
-    argmin_cumulative,
-    select_nominal,
-)
+from .nugap import UnitCirclePoleError, argmin_cumulative, select_nominal
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -47,8 +41,6 @@ _REPORT_CSV_COLUMNS = (
 class DiscriminateOptions:
     orders: tuple = lti.DEFAULT_ORDER_LABELS
     precision: int = coding.DEFAULT_PRECISION
-    naic_form: str = "normalized"
-    nugap_grid: int = DEFAULT_GRID_SIZE
     seed: int = 0
     residual_source: str = "sim"
 
@@ -59,14 +51,8 @@ class DiscriminateOptions:
             if self.orders.count(label) > 1:
                 raise ValueError(f"order {label} is listed more than once")
         coding.encode_number(0.0, self.precision)  # the codec's own range check
-        if not 64 <= self.nugap_grid <= MAX_GRID_SIZE:
-            raise ValueError(f"nugap_grid must be >= 64 and <= {MAX_GRID_SIZE}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.naic_form not in criteria.NAIC_FORMS:
-            raise ValueError(
-                f"naic form must be one of {criteria.NAIC_FORMS}, got {self.naic_form!r}"
-            )
         if self.residual_source not in RESIDUAL_SOURCES:
             raise ValueError(
                 f"residual source must be one of {RESIDUAL_SOURCES}, "
@@ -74,15 +60,38 @@ class DiscriminateOptions:
             )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+@contextlib.contextmanager
+def _output_set():
+    """Write a command's output files as one set.
+
+    The block stages each file with ``stage(path, text)``, or writes the
+    ``.tmp`` path that ``stage(path)`` returns.  The files take their names
+    only once the block ends; if anything fails first, the staged ``.tmp``
+    files are removed and no output is replaced.
+    """
+    staged = []
+
+    def stage(path: str, text: str | None = None) -> str:
+        staged.append(path)
+        if text is not None:
+            with open(f"{path}.tmp", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        return f"{path}.tmp"
+
+    try:
+        yield stage
+        for path in staged:
+            os.replace(f"{path}.tmp", path)
+    except BaseException:
+        for path in staged:
+            with contextlib.suppress(OSError):
+                os.remove(f"{path}.tmp")
+        raise
 
 
-def _check_out_paths(*paths: str) -> None:
-    """Check the files a command will write, before any work."""
+def _check_out_paths(*paths: str, inputs=()) -> None:
+    """Check the files a command will write, before any work: none may be an input."""
+    inputs = [src for src in inputs if src and os.path.exists(src)]
     for path in paths:
         if not os.path.basename(path):
             raise ValueError(f"output path {path!r} names no file")
@@ -91,6 +100,9 @@ def _check_out_paths(*paths: str) -> None:
             raise ValueError(f"output directory {out_dir!r} does not exist")
         if os.path.isdir(path):
             raise ValueError(f"output path {path!r} is a directory")
+        for out in (path, f"{path}.tmp"):
+            if os.path.exists(out) and any(os.path.samefile(out, src) for src in inputs):
+                raise ValueError(f"output path {out!r} is an input file")
 
 
 def _sha256_file(path: str) -> str:
@@ -169,9 +181,7 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         sim = (fit_y.sim_residuals, fit_u.sim_residuals)
         pred = (fit_y.pred_residuals, fit_u.pred_residuals)
         gains = coding.simo_information_gain(dataset, sim, opts.precision)
-        crit = criteria.simo_criteria(
-            sim if opts.residual_source == "sim" else pred, n_params, opts.naic_form
-        )
+        crit = criteria.simo_criteria(sim if opts.residual_source == "sim" else pred, n_params)
         channel = {}
         for name, ig, rep in (("y", gains.y, crit.y), ("u", gains.u, crit.u)):
             channel[name] = {
@@ -247,7 +257,7 @@ def discriminate_datasets(
         nugap_note = "nu-gap selection needs >=2 identified models; section omitted"
     else:
         try:
-            matrix, winner, tie = select_nominal(gap_models, grid_size=opts.nugap_grid)
+            matrix, winner, tie = select_nominal(gap_models)
             nugap_section = {
                 "labels": list(matrix.labels),
                 "matrix": [[float(v) for v in row] for row in matrix.values],
@@ -310,10 +320,12 @@ def write_report(report: dict, out_path: str) -> tuple[str, str]:
     check every written report against.  A non-finite number is a bug (``_num``
     maps the criteria that may be infinite to null): it raises ValueError
     before either file is written, rather than emit the non-JSON token NaN.
+    The two files take their names together, once both are written.
     """
     json_path, csv_path = _report_paths(out_path)
-    _atomic_write_text(json_path, json.dumps(report, indent=2, allow_nan=False) + "\n")
-    _atomic_write_text(csv_path, report_csv_text(report))
+    with _output_set() as stage:
+        stage(json_path, json.dumps(report, indent=2, allow_nan=False) + "\n")
+        stage(csv_path, report_csv_text(report))
     return json_path, csv_path
 
 
@@ -329,40 +341,32 @@ def cmd_simulate(args):
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise OSError(f"--out-dir: {exc}") from exc
+    labels = [twin.setpoint_label(sp) for sp in sorted(by_setpoint)]
+    paths = [os.path.join(args.out_dir, f"dataset_{label}.csv") for label in labels]
+    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    _check_out_paths(*paths, manifest_path, inputs=(args.config, args.params))
 
     def work():
         # each run goes to <path>.tmp as soon as it is simulated, so one run is
-        # held at a time; the files take their names only once every run succeeded
-        runs = []  # (label, path, samples)
-        try:
-            for ds in twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed):
-                path = os.path.join(args.out_dir, f"dataset_{ds.label}.csv")
-                runs.append((ds.label, path, len(ds)))
-                twin.write_csv(ds, f"{path}.tmp")
-        except BaseException:
-            for _, path, _ in runs:
-                with contextlib.suppress(OSError):
-                    os.remove(f"{path}.tmp")
-            raise
-        entries = []
-        for i, (label, path, samples) in enumerate(runs):
-            os.replace(f"{path}.tmp", path)
-            entries.append(
-                {"label": label, "file": os.path.basename(path), "sensor_seed": args.seed + i}
-            )
-            print(f"wrote {path} ({samples} samples)")
-
-        manifest = {
-            "seed": args.seed,
-            "config": os.path.basename(args.config),
-            "config_sha256": _sha256_file(args.config),
-            "params": os.path.basename(args.params),
-            "params_sha256": _sha256_file(args.params),
-            "datasets": entries,
-        }
-        manifest_path = os.path.join(args.out_dir, "manifest.json")
-        _atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
-        print(f"wrote {manifest_path}")
+        # held at a time; the files take their names once the manifest is written
+        entries, wrote = [], []
+        with _output_set() as stage:
+            campaign = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
+            for i, (path, ds) in enumerate(zip(paths, campaign)):
+                twin.write_csv(ds, stage(path))
+                entries.append({"label": ds.label, "file": os.path.basename(path),
+                                "sensor_seed": args.seed + i})
+                wrote.append(f"wrote {path} ({len(ds)} samples)")
+            manifest = {
+                "seed": args.seed,
+                "config": os.path.basename(args.config),
+                "config_sha256": _sha256_file(args.config),
+                "params": os.path.basename(args.params),
+                "params_sha256": _sha256_file(args.params),
+                "datasets": entries,
+            }
+            stage(manifest_path, json.dumps(manifest, indent=2) + "\n")
+        print(*wrote, f"wrote {manifest_path}", sep="\n")
 
     return work
 
@@ -371,12 +375,11 @@ def cmd_discriminate(args):
     opts = DiscriminateOptions(
         orders=tuple(args.orders.split(",")),
         precision=args.precision,
-        naic_form=args.naic_form,
-        nugap_grid=args.nugap_grid,
         seed=args.seed,
         residual_source=args.residuals,
     )
-    _check_out_paths(args.out, *_report_paths(args.out))
+    _check_out_paths(args.out)
+    _check_out_paths(*_report_paths(args.out), inputs=args.datasets)
     # a dataset that cannot be read, or whose data the codec cannot price,
     # goes into the report's errors, as long as another one can be used
     datasets = []
@@ -431,7 +434,7 @@ def _parse_initial(text: str) -> twin.PeltierParams:
 
 
 def cmd_match(args):
-    _check_out_paths(args.out)
+    _check_out_paths(args.out, inputs=(args.dataset, args.config))
     dataset = twin.read_csv(args.dataset)
     sim_config = configio.load_sim_config(args.config)[0] if args.config else None
     problem = matching.MatchProblem(
@@ -466,7 +469,8 @@ def cmd_match(args):
             "start_index": result.start_index,
             "start_costs": [(_num(c)) for c in result.start_costs],
         }
-        _atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        with _output_set() as stage:
+            stage(args.out, json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
 
     return work
@@ -491,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.add_argument("--out", required=True, help="report path (JSON + CSV emitted)")
     p_dis.add_argument("--orders", default=",".join(lti.DEFAULT_ORDER_LABELS))
     p_dis.add_argument("--precision", type=int, default=coding.DEFAULT_PRECISION)
-    p_dis.add_argument("--naic-form", choices=criteria.NAIC_FORMS, default="normalized")
-    p_dis.add_argument("--nugap-grid", type=int, default=DEFAULT_GRID_SIZE)
     p_dis.add_argument("--seed", type=int, default=0)
     p_dis.add_argument("--residuals", choices=RESIDUAL_SOURCES, default="sim")
     p_dis.set_defaults(func=cmd_discriminate)
@@ -516,9 +518,10 @@ def main(argv=None) -> int:
 
     Each ``cmd_*`` reads and checks all of its input, then returns its work
     as a function of no arguments.  A ValueError or OSError while reading
-    the input is a usage error; a simulation that diverges, a match that
-    fails or a campaign with no identified dataset is a compute failure.
-    Any other exception is a bug and propagates.
+    the input, or an OSError while writing the output, is a usage error; a
+    simulation that diverges, a match that fails or a campaign with no
+    identified dataset is a compute failure.  Any other exception is a bug
+    and propagates.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -533,6 +536,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

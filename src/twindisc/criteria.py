@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NAIC_FORMS = ("normalized", "literal")
-
 
 @dataclass(frozen=True)
 class CriteriaReport:
@@ -30,16 +28,11 @@ class CriteriaReport:
     zero_loss: bool = False
 
 
-def naic(loss: float, n_params: int, n_samples: int, form: str = "normalized") -> float:
-    """Normalized Akaike criterion; the "literal" form keeps the leading N."""
-    if form not in NAIC_FORMS:
-        raise ValueError(f"naic form must be one of {NAIC_FORMS}, got {form!r}")
+def naic(loss: float, n_params: int, n_samples: int) -> float:
+    """Normalized Akaike criterion log V + 2d/N (Ljung 1999)."""
     if loss == 0.0:
         return -math.inf
-    penalty = 2.0 * n_params / n_samples
-    if form == "literal":
-        return n_samples * math.log(loss) + penalty
-    return math.log(loss) + penalty
+    return math.log(loss) + 2.0 * n_params / n_samples
 
 
 def bic(loss: float, n_params: int, n_samples: int) -> float:
@@ -61,7 +54,7 @@ def mdl(loss: float, n_params: int, n_samples: float) -> float:
     return loss * (1.0 + n_params / n_samples) * math.log(n_samples)
 
 
-def criteria_report(residuals, n_params: int, naic_form: str = "normalized") -> CriteriaReport:
+def criteria_report(residuals, n_params: int) -> CriteriaReport:
     """Score one channel; its loss det((1/N) sum eps eps^T) is the mean square."""
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 1:
@@ -72,7 +65,7 @@ def criteria_report(residuals, n_params: int, naic_form: str = "normalized") -> 
         raise ValueError("n_params must be >= 0")
     loss = float(np.mean(r * r))
     return CriteriaReport(
-        naic=naic(loss, n_params, r.size, naic_form),
+        naic=naic(loss, n_params, r.size),
         bic=bic(loss, n_params, r.size),
         mdl=mdl(loss, n_params, r.size),
         loss=loss,
@@ -100,9 +93,7 @@ class SimoCriteriaReport:
         return self.y.mdl + self.u.mdl
 
 
-def simo_criteria(
-    residuals, n_params: int, naic_form: str = "normalized"
-) -> SimoCriteriaReport:
+def simo_criteria(residuals, n_params: int) -> SimoCriteriaReport:
     """Score a SIMO model from its ``(res_y, res_u)`` residual pair.
 
     Each channel is scored on its own (n_y = 1); the pair may hold free-run
@@ -110,6 +101,6 @@ def simo_criteria(
     """
     res_y, res_u = residuals
     return SimoCriteriaReport(
-        y=criteria_report(res_y, n_params, naic_form),
-        u=criteria_report(res_u, n_params, naic_form),
+        y=criteria_report(res_y, n_params),
+        u=criteria_report(res_u, n_params),
     )

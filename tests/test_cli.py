@@ -360,6 +360,63 @@ class TestSimulateCommand:
         assert code == 2
         assert "error: --out-dir" in capsys.readouterr().err
 
+    def _four_setpoints(self, tmp_path, out):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(CONFIG.replace("setpoints = 30, 50", "setpoints = 30, 50, 70, 90"))
+        params = tmp_path / "params.ini"
+        params.write_text(PARAMS)
+        return ["simulate", "--config", str(cfg), "--params", str(params), "--out-dir", str(out)]
+
+    @pytest.mark.parametrize("taken", ["dataset_70.csv", "manifest.json"])
+    def test_output_taken_by_a_directory_is_usage_error_before_any_run(
+        self, tmp_path, monkeypatch, capsys, taken
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset_30.csv").write_text("old")
+        (out / taken).mkdir()
+        monkeypatch.setattr(
+            cli.twin, "generate_campaign", lambda *a, **k: pytest.fail("simulated")
+        )
+        code = cli.main(self._four_setpoints(tmp_path, out))
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == sorted(["dataset_30.csv", taken])
+        assert (out / "dataset_30.csv").read_text() == "old"
+
+    def test_failed_write_is_usage_error_and_replaces_nothing(self, tmp_path, capsys):
+        # the third of four runs cannot be written once the first two are
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset_30.csv").write_text("old")
+        (out / "dataset_70.csv.tmp").mkdir()
+        code = cli.main(self._four_setpoints(tmp_path, out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "dataset_70.csv.tmp" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(out)) == ["dataset_30.csv", "dataset_70.csv.tmp"]
+        assert (out / "dataset_30.csv").read_text() == "old"
+
+    def test_output_naming_an_input_is_usage_error_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = self._four_setpoints(tmp_path, out)
+        # the parameter file sits where the 50 degC run would be written
+        params = out / "dataset_50.csv"
+        params.write_text(PARAMS)
+        argv[argv.index("--params") + 1] = str(params)
+        monkeypatch.setattr(
+            cli.twin, "generate_campaign", lambda *a, **k: pytest.fail("simulated")
+        )
+        code = cli.main(argv)
+        assert code == 2
+        assert f"error: output path {str(params)!r} is an input file" in capsys.readouterr().err
+        assert os.listdir(out) == ["dataset_50.csv"]
+        assert params.read_text() == PARAMS
+
 
 class TestDiscriminateCommand:
     def test_report_structure_and_consistency(self, tmp_path, campaign_files):
@@ -652,18 +709,20 @@ class TestDiscriminateCommand:
         assert "error: precision must be <= 18" in capsys.readouterr().err
         assert list(tmp_path.glob("r*")) == []
 
-    def test_nugap_grid_above_bound_is_rejected_before_any_work(
-        self, tmp_path, campaign_files, monkeypatch, capsys
+    @pytest.mark.parametrize(
+        "flag, value", [("--nugap-grid", "2048"), ("--naic-form", "normalized")]
+    )
+    def test_removed_option_is_usage_error_before_any_work(
+        self, tmp_path, campaign_files, monkeypatch, capsys, flag, value
     ):
+        # the nu-gap grid is nugap.DEFAULT_GRID_SIZE and nAIC has one form
         monkeypatch.setattr(
             sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
-        out = tmp_path / "r"
-        code = cli.main(
-            ["discriminate", *campaign_files, "--out", str(out), "--nugap-grid", "65537"]
-        )
-        assert code == 2
-        assert "error: nugap_grid must be >= 64 and <= 65536" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["discriminate", *campaign_files, "--out", str(tmp_path / "r"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.glob("r*")) == []
 
     def test_out_naming_a_directory_is_usage_error_before_any_work(
@@ -676,6 +735,39 @@ class TestDiscriminateCommand:
         assert code == 2
         assert f"error: output path {str(out)!r} is a directory" in capsys.readouterr().err
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_write_is_usage_error_and_replaces_neither_file(
+        self, tmp_path, campaign_files, capsys
+    ):
+        (tmp_path / "r.json").write_text("old json")
+        (tmp_path / "r.csv").write_text("old csv")
+        (tmp_path / "r.csv.tmp").mkdir()
+        out = str(tmp_path / "r")
+        code = cli.main(["discriminate", *campaign_files, "--out", out, "--orders", "22221"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "r.csv.tmp" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.glob("r*")) == ["r.csv", "r.csv.tmp", "r.json"]
+        assert (tmp_path / "r.json").read_text() == "old json"
+        assert (tmp_path / "r.csv").read_text() == "old csv"
+
+    # --out set_0 writes the report CSV over set_0.csv, and --out r through r.csv.tmp
+    @pytest.mark.parametrize("dataset, out", [("set_0.csv", "set_0"), ("r.csv.tmp", "r")])
+    def test_out_naming_an_input_is_usage_error_before_any_work(
+        self, tmp_path, campaign_files, monkeypatch, capsys, dataset, out
+    ):
+        data = tmp_path / dataset
+        os.replace(campaign_files[0], data)
+        before = data.read_bytes()
+        monkeypatch.setattr(cli.twin, "read_csv", lambda path: pytest.fail("data was read"))
+        code = cli.main(
+            ["discriminate", str(data), campaign_files[1], "--out", str(tmp_path / out)]
+        )
+        assert code == 2
+        assert f"error: output path {str(data)!r} is an input file" in capsys.readouterr().err
+        assert data.read_bytes() == before
+        assert list(tmp_path.glob(f"{out}.json*")) == []
 
     def test_empty_out_is_usage_error_before_any_work(
         self, tmp_path, campaign_files, monkeypatch, capsys
@@ -747,21 +839,20 @@ class TestDiscriminateCommand:
         monkeypatch.setattr(
             sysid, "identify_family", lambda *a: pytest.fail("identification ran")
         )
-        datasets = [read_csv(campaign_files[0])]
-        for field in ("naic_form", "residual_source"):
-            with pytest.raises(ValueError, match="bogus"):
-                cli.discriminate_datasets(
-                    datasets, cli.DiscriminateOptions(**{field: "bogus"})
-                )
+        with pytest.raises(ValueError, match="bogus"):
+            cli.discriminate_datasets(
+                [read_csv(campaign_files[0])], cli.DiscriminateOptions(residual_source="bogus")
+            )
+        # nAIC has one form, so any --naic-form is an unknown option
+        # (test_removed_option_is_usage_error_before_any_work)
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
             ("seed", -1, "seed must be >= 0"),
             ("orders", ("2222x",), "order label must be 5 digits"),
-            ("nugap_grid", 10, "nugap_grid must be >= 64"),
         ],
-        ids=["seed", "orders", "nugap_grid"],
+        ids=["seed", "orders"],
     )
     def test_bad_option_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -897,6 +988,26 @@ class TestMatchCommand:
         assert f"error: output path {str(out)!r} is a directory" in capsys.readouterr().err
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_failed_write_is_usage_error(self, tmp_path, capsys):
+        path = self._dataset(tmp_path)
+        out = tmp_path / "m.json"
+        (tmp_path / "m.json.tmp").mkdir()
+        code = cli.main(["match", path, "--initial", "datasheet", "--out", str(out)])
+        assert code == 2
+        assert "m.json.tmp" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("m.json*")) == ["m.json.tmp"]
+
+    def test_out_naming_the_dataset_is_usage_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = self._dataset(tmp_path)
+        before = Path(path).read_bytes()
+        monkeypatch.setattr(cli.twin, "read_csv", lambda path: pytest.fail("data was read"))
+        code = cli.main(["match", path, "--initial", "datasheet", "--out", path])
+        assert code == 2
+        assert f"error: output path {path!r} is an input file" in capsys.readouterr().err
+        assert Path(path).read_bytes() == before
+
     @pytest.mark.parametrize("with_config", [False, True], ids=["preset", "config"])
     def test_dataset_over_the_sample_bound_is_usage_error(
         self, tmp_path, monkeypatch, capsys, with_config
@@ -979,13 +1090,15 @@ class TestMatchCommand:
 
 
 # SHA-256 of the report's JSON bytes followed by its CSV bytes on the campaign
-# of acceptance criterion c10, recorded once the nu-gap always checked the
-# winding condition and the report's config lost its winding-mode switch;
-# against the previous run that switch is the only difference, and every CSV
-# byte and nu-gap value stayed.  Any change to a fitted coefficient shows here.
+# of acceptance criterion c10, recorded once the report's config lost its
+# nu-gap grid and nAIC form entries (the grid is always 2048 points and nAIC
+# always log V + 2d/N); against the previous run, with ``--naic-form
+# normalized`` for the pred variant, those two entries are the only
+# difference, and every CSV byte and nu-gap value stayed.  Any change to a
+# fitted coefficient shows here.
 REPORT_SHA256 = {
-    "sim": "8b28d69df5c93d4f324b804d73dfa298dc6407a158685dfd5eb68bad7c575ce5",
-    "pred": "58e32e1a2799ef5b68989b6ac6d5226d7fabc8d4b4b0eebe5679bcf819732840",
+    "sim": "3a7e8454a45d5a9fdc23ebd1f5feeb495d72e2cc6c725813268d577eb76b6093",
+    "pred": "e4fa38db4a1208abc3ba322e09ff3088f016464dc3e538297a7bd4938a8333e5",
 }
 
 # SHA-256 of the ``match dataset_45.csv --initial datasheet`` JSON on the same
@@ -1030,7 +1143,7 @@ def test_report_bytes_are_pinned(tmp_path, c10_campaign):
     data = c10_campaign
     variants = {
         "sim": ["--residuals", "sim"],
-        "pred": ["--residuals", "pred", "--naic-form", "literal", "--precision", "3"],
+        "pred": ["--residuals", "pred", "--precision", "3"],
     }
     for name, flags in variants.items():
         assert cli.main(

@@ -34,23 +34,13 @@ class TestNaic:
 
     def test_direct_formula(self):
         assert report([1.0, -1.0, 1.0, -1.0], n_params=2).naic == pytest.approx(1.0)
-
-    def test_literal_form_keeps_leading_n(self):
-        literal = report([2.0, -2.0, 2.0, -2.0], n_params=1, naic_form="literal")
-        assert literal.naic == pytest.approx(4 * math.log(literal.loss) + 2 * 1 / 4)
-        assert naic(literal.loss, 1, 4, form="literal") == literal.naic
+        assert naic(math.e, 3, 6) == pytest.approx(2.0)
 
     def test_zero_loss_sentinel(self):
         zero = report([0.0, 0.0, 0.0], n_params=1)
-        assert zero.naic == -math.inf
+        assert zero.naic == naic(0.0, 1, 3) == -math.inf
         assert zero.bic == -math.inf
         assert zero.zero_loss
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match="naic form must be one of"):
-            report([1.0, 2.0], naic_form="other")
-        with pytest.raises(ValueError, match="naic form must be one of"):
-            naic(1.0, 0, 2, form="other")
 
 
 class TestBic:
@@ -105,8 +95,9 @@ class TestProperties:
 
     def test_ranking_invariant_to_naic_form_on_decisive_family(self):
         # with loss gaps that dominate the parameter penalty (the situation
-        # the identified families produce when an order genuinely wins), the
-        # normalized and literal forms rank the family identically
+        # the identified families produce when an order genuinely wins), nAIC
+        # ranks the family by its loss, as any increasing function of log V
+        # with the same penalty would
         rng = np.random.default_rng(40)
         n = 400
         base = rng.normal(0.0, 1.0, size=n)
@@ -114,9 +105,9 @@ class TestProperties:
             (base * scale, 4 * order)
             for order, scale in zip(range(2, 6), (3.0, 1.0, 1.4, 1.9))
         ]
-        for form in ("normalized", "literal"):
-            scores = [report(r, p, naic_form=form).naic for r, p in family]
-            assert int(np.argmin(scores)) == 1
+        scored = [report(r, p) for r, p in family]
+        assert int(np.argmin([s.naic for s in scored])) == 1
+        assert int(np.argmin([s.loss for s in scored])) == 1
 
     def test_oracle_equivalence_on_random_summaries(self):
         rng = np.random.default_rng(99)

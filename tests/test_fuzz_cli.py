@@ -14,9 +14,11 @@ in-process.  The contract under test:
 
 Every kind of mutation runs; hypothesis picks where it lands.  No example
 scales up a size the program works in proportion to: the run length, the
-substep count, the nu-gap grid and the sample count only ever shrink or turn
-invalid.  A valid ``match`` takes well under 0.2 s, so each dataset mutation
-runs 3 examples under both commands.
+substep count and the sample count only ever shrink or turn invalid.  A
+valid ``match`` takes well under 0.2 s, so each dataset mutation runs 3
+examples under both commands.  Each command's unmutated command line, and
+each valid input, must exit 0: a harness whose own flags stop parsing then
+fails rather than fuzz argparse alone.
 """
 
 import contextlib
@@ -205,11 +207,12 @@ def test_dataset_mutations_keep_the_contract(inputs, command, kind):
             path.write_bytes(data)
             if command == "discriminate":
                 extra = [inputs / "good.csv"] if with_good else []
-                run(["discriminate", path, *extra, "--orders", "22221", "--nugap-grid", "64",
-                     "--out", work / "report"], work)
+                code = run(["discriminate", path, *extra, "--orders", "22221",
+                            "--out", work / "report"], work)
             else:
-                run(["match", path, "--config", inputs / "sim.ini", "--out", work / "m.json"],
-                    work)
+                code = run(["match", path, "--config", inputs / "sim.ini",
+                            "--out", work / "m.json"], work)
+            assert code == 0 or kind != "valid"
 
     check()
 
@@ -228,6 +231,7 @@ def test_config_mutations_keep_the_contract(inputs, mutated, kind):
             out = work / "out"
             code = run(["simulate", "--config", files["config"], "--params", files["params"],
                         "--out-dir", out], work)
+            assert code == 0 or kind != "valid"
             if code == 0:
                 assert (out / "manifest.json").exists()
 
@@ -239,9 +243,7 @@ FLAG_VALUES = {
     "discriminate": {
         "--orders": ["22221,22221", "", ",", "2222", "22220", "99999", "0000x", "22221,"],
         "--precision": ["-1", "0", "18", "19", "x"],
-        "--nugap-grid": ["63", "64", "65537", "-64"],
         "--seed": ["-1", "0", str(2**63)],
-        "--naic-form": ["literal", "other"],
         "--residuals": ["pred", "other"],
         "--out": ["", ".", "missing/report", "report.json"],
     },
@@ -260,6 +262,27 @@ FLAG_VALUES = {
 }
 
 
+def _base_flags(inputs) -> dict:
+    """Each command's valid flags; relative --out and --out-dir values land in the cwd."""
+    return {
+        "discriminate": {"--orders": "22221", "--out": "report"},
+        "match": {"--config": inputs / "sim.ini", "--out": "m.json"},
+        "simulate": {"--config": inputs / "sim.ini", "--params": inputs / "params.ini",
+                     "--out-dir": "out"},
+    }
+
+
+def _run_with(inputs, workdir: Path, command, flags) -> int:
+    datasets = [] if command == "simulate" else [inputs / "good.csv"]
+    return run([command, *datasets, *(x for kv in flags.items() for x in kv)], workdir)
+
+
+@pytest.mark.parametrize("command", list(FLAG_VALUES))
+def test_base_command_line_succeeds(inputs, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert _run_with(inputs, tmp_path, command, _base_flags(inputs)[command]) == 0
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [(cmd, flag, value) for cmd, flags in FLAG_VALUES.items()
@@ -267,12 +290,5 @@ FLAG_VALUES = {
 )
 def test_flag_boundaries_keep_the_contract(inputs, tmp_path, monkeypatch, command, flag, value):
     (tmp_path / "sim.ini").write_text(SIM_CONFIG)
-    monkeypatch.chdir(tmp_path)  # relative --out and --out-dir values land here
-    argv = {
-        "discriminate": {"--orders": "22221", "--nugap-grid": "64", "--out": "report"},
-        "match": {"--config": inputs / "sim.ini", "--out": "m.json"},
-        "simulate": {"--config": inputs / "sim.ini", "--params": inputs / "params.ini",
-                     "--out-dir": "out"},
-    }[command] | {flag: value}
-    datasets = [] if command == "simulate" else [inputs / "good.csv"]
-    run([command, *datasets, *(x for kv in argv.items() for x in kv)], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _run_with(inputs, tmp_path, command, _base_flags(inputs)[command] | {flag: value})
