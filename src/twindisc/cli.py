@@ -134,21 +134,15 @@ def _best_orders(labels: list, scores: dict) -> tuple[dict, dict]:
     best: dict = {}
     ties: dict = {}
     for key, values in scores.items():
-        if values:
-            winner, ties[key] = argmin_cumulative(values)
-            best[key] = labels[winner]
-        else:
-            best[key], ties[key] = None, False
+        winner, ties[key] = argmin_cumulative(values)
+        best[key] = labels[winner]
     return best, ties
 
 
-def _nugap_model_order(best: dict) -> str | None:
+def _nugap_model_order(best: dict) -> str:
     """Consensus order for the gap stage: majority of naic/bic/mdl winners."""
-    votes = [best[k] for k in ("naic", "bic", "mdl") if best.get(k) is not None]
-    if not votes:
-        return None
     counts: dict = {}
-    for v in votes:
+    for v in (best["naic"], best["bic"], best["mdl"]):
         counts[v] = counts.get(v, 0) + 1
     top = max(counts.values())
     return min(label for label, c in counts.items() if c == top)
@@ -158,8 +152,8 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
     """Identify the model family on one dataset and score every order.
 
     Every order is scored from its fits' own residuals.  Returns the dataset's
-    report and its consensus model labelled by the dataset (None without one).
-    Raises FitFailureError when no order could be identified.
+    report and its consensus model labelled by the dataset.  Raises
+    FitFailureError when no order could be identified.
     """
     from . import sysid  # scipy loads here, so match and simulate never load it
 
@@ -224,8 +218,6 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         "nugap_model_order": order_for_gap,
         "errors": errors,
     }
-    if not order_for_gap:
-        return report, None
     return report, replace(family.models[order_for_gap], label=dataset.label)
 
 
@@ -248,8 +240,7 @@ def discriminate_datasets(
             errors.append(f"dataset {dataset.label!r}: {exc}")
             continue
         dataset_reports.append(report)
-        if gap_model is not None:
-            gap_models.append(gap_model)
+        gap_models.append(gap_model)
 
     nugap_section = None
     nugap_note = ""
@@ -427,10 +418,7 @@ def _parse_initial(text: str) -> twin.PeltierParams:
             f"initial guess must be one of the presets ({presets}) "
             f"or 'alpha,k,c' in V/K, W/K, J/K"
         )
-    alpha, k_cond, c_heat = (float(p) for p in parts)
-    return twin.PeltierParams(
-        alpha=alpha, r_ohm=matching.MEASURED_RESISTANCE, k_cond=k_cond, c_heat=c_heat
-    )
+    return matching.params_from(parts)
 
 
 def cmd_match(args):
@@ -457,10 +445,7 @@ def cmd_match(args):
             "initial": args.initial,
             "channels": args.channels,
             "params": {
-                "alpha_v_per_k": result.params.alpha,
-                "r_ohm": result.params.r_ohm,
-                "k_w_per_k": result.params.k_cond,
-                "c_j_per_k": result.params.c_heat,
+                key: getattr(result.params, name) for key, name in configio.PARAM_KEYS.items()
             },
             "sse": result.sse,
             "iterations": result.iterations,

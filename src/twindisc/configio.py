@@ -127,7 +127,8 @@ def load_sim_config(path) -> tuple[SimConfig, tuple[float, ...]]:
     return cfg, setpoints
 
 
-_PARAM_KEYS = {
+#: Parameter-file key -> PeltierParams field, also the keys of the ``match`` JSON
+PARAM_KEYS = {
     "alpha_v_per_k": "alpha",
     "r_ohm": "r_ohm",
     "k_w_per_k": "k_cond",
@@ -137,7 +138,7 @@ _PARAM_KEYS = {
 
 def _params_from_section(parser, path, section, base: dict) -> dict:
     values = dict(base)
-    for key, name in _PARAM_KEYS.items():
+    for key, name in PARAM_KEYS.items():
         if parser.has_option(section, key):
             values[name] = _get(parser, path, section, key, float, None)
     return values
@@ -155,7 +156,7 @@ def load_params_file(path) -> dict[float, PeltierParams]:
     _check_layout(
         parser,
         path,
-        lambda section: _PARAM_KEYS if section.split(".", 1)[0] == "peltier" else None,
+        lambda section: PARAM_KEYS if section.split(".", 1)[0] == "peltier" else None,
     )
     base: dict = {}
     if parser.has_section("peltier"):
@@ -173,21 +174,21 @@ def load_params_file(path) -> dict[float, PeltierParams]:
         if sp in result:
             raise ConfigError(f"{path}: [{section}] repeats setpoint {sp:g}")
         values = _params_from_section(parser, path, section, base)
-        missing = [k for k, n in _PARAM_KEYS.items() if n not in values]
+        missing = [k for k, n in PARAM_KEYS.items() if n not in values]
         if missing:
             raise ConfigError(f"{path}: [{section}] missing keys {missing}")
         try:
             result[sp] = PeltierParams(**values)
         except ValueError as exc:
             raise ConfigError(f"{path}: [{section}]: {exc}") from exc
-    base_complete = all(n in base for n in _PARAM_KEYS.values())
+    base_complete = all(n in base for n in PARAM_KEYS.values())
     if base_complete:
         try:
             result[None] = PeltierParams(**base)
         except ValueError as exc:
             raise ConfigError(f"{path}: [peltier]: {exc}") from exc
     if not result:
-        missing = [k for k, n in _PARAM_KEYS.items() if n not in base]
+        missing = [k for k, n in PARAM_KEYS.items() if n not in base]
         raise ConfigError(f"{path}: [peltier] missing keys {missing}")
     return result
 

@@ -27,13 +27,6 @@ ACCEL_MAX_RATIO = 0.75
 CONVERGED_REASONS = frozenset({"zero_cost", "rel_drop", "no_descent"})
 
 
-def _cost(r) -> float:
-    # a sum of squares that overflows is an infinite cost, an outcome the
-    # callers handle, not a numerical fault worth a warning
-    with np.errstate(over="ignore"):
-        return float(r @ r)
-
-
 def _solve_free(matrix, rhs, free):
     """Solve ``matrix @ x = rhs`` on the ``free`` components (all when None).
 
@@ -46,6 +39,10 @@ def _solve_free(matrix, rhs, free):
     return x
 
 
+# an overflow is an outcome the search handles, not a numerical fault worth a
+# warning: a sum of squares that overflows is an infinite cost, and a JᵀJ that
+# overflows gives a non-finite step, whose candidate the residual disallows
+@np.errstate(over="ignore", invalid="ignore")
 def levenberg_marquardt(
     residual, jacobian, theta0, max_iter: int, tol: float, bounds=None, accelerate=False
 ):
@@ -90,7 +87,7 @@ def levenberg_marquardt(
     r = residual(theta)
     if r is None:
         return None
-    cost = _cost(r)
+    cost = float(r @ r)
     trace = [cost]
     lam = 1e-3
     iterations = 0
@@ -137,7 +134,7 @@ def levenberg_marquardt(
             if rc is None:
                 disallowed = True
             else:
-                new_cost = _cost(rc)
+                new_cost = float(rc @ rc)
                 if new_cost < cost:
                     rel_drop = (cost - new_cost) / cost
                     theta, r, cost = cand, rc, new_cost

@@ -18,21 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class InvalidModelError(ValueError):
-    """A transfer function violates the monic-denominator contract."""
-
-
-class NearPoleError(ArithmeticError):
-    """A frequency-response evaluation landed (numerically) on a pole."""
-
-    def __init__(self, omega: float, magnitude: float):
-        self.omega = float(omega)
-        self.magnitude = float(magnitude)
-        super().__init__(
-            f"denominator magnitude {magnitude:.3e} below 1e-300 at omega={omega!r}"
-        )
-
-
 def coefficients(values) -> np.ndarray:
     """Read-only float64 copy of a coefficient vector, checked non-empty and finite."""
     c = np.array(values, dtype=float)
@@ -46,7 +31,11 @@ def coefficients(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteTransferFunction:
-    """Rational transfer function N(z^-1)/D(z^-1) at a fixed sample time."""
+    """Rational transfer function N(z^-1)/D(z^-1) at a fixed sample time.
+
+    D is monic: its z^0 coefficient is exactly 1, so the difference
+    equation solves for the newest output sample.
+    """
 
     numerator: np.ndarray
     denominator: np.ndarray
@@ -56,8 +45,11 @@ class DiscreteTransferFunction:
         sample_time = float(sample_time)
         if not (sample_time > 0.0):
             raise ValueError(f"sample_time must be > 0, got {sample_time}")
+        denominator = coefficients(denominator)
+        if denominator[0] != 1.0:
+            raise ValueError(f"denominator z^0 coefficient must be 1, got {denominator[0]}")
         object.__setattr__(self, "numerator", coefficients(numerator))
-        object.__setattr__(self, "denominator", coefficients(denominator))
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "sample_time", sample_time)
 
 
@@ -119,18 +111,10 @@ class OrderSpec:
 
 
 def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:
-    """Run the difference-equation recursion with zero initial conditions.
-
-    Raises InvalidModelError unless the denominator's z^0 coefficient is
-    exactly 1 (the recursion solves for the newest output sample).
-    """
+    """Run the difference-equation recursion with zero initial conditions."""
     u = np.asarray(input, dtype=float)
     if u.size == 0:
         raise ValueError("input sequence must be non-empty")
-    if tf.denominator[0] != 1.0:
-        raise InvalidModelError(
-            f"denominator z^0 coefficient must be 1, got {tf.denominator[0]}"
-        )
     from .sysid import lfilter  # the one module that loads scipy
 
     return lfilter(tf.numerator, tf.denominator, u)
@@ -143,9 +127,4 @@ def frequency_response(tf: DiscreteTransferFunction, omegas) -> np.ndarray:
         raise ValueError("frequencies must lie in [0, pi] rad/sample")
     x = np.exp(-1j * w)
     num = np.polyval(tf.numerator[::-1], x)
-    den = np.polyval(tf.denominator[::-1], x)
-    bad = np.abs(den) < 1e-300
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NearPoleError(w[k], float(np.abs(den[k])))
-    return num / den
+    return num / np.polyval(tf.denominator[::-1], x)

@@ -52,6 +52,12 @@ class MatchFailureError(RuntimeError):
     """Every multistart diverged, or none reached a finite SSE."""
 
 
+def params_from(theta) -> PeltierParams:
+    """The parameters (alpha, K, C) = ``theta`` at the measured resistance."""
+    alpha, k_cond, c_heat = (float(v) for v in theta)
+    return PeltierParams(alpha=alpha, r_ohm=MEASURED_RESISTANCE, k_cond=k_cond, c_heat=c_heat)
+
+
 def _vec(p: PeltierParams) -> np.ndarray:
     return np.array([p.alpha, p.k_cond, p.c_heat])
 
@@ -90,12 +96,6 @@ class MatchProblem:
             )
         # the candidate model is deterministic: no sensor corruption during matching
         object.__setattr__(self, "sim_config", replace(cfg, sensor=SensorConfig(), label=""))
-
-    def params_from(self, theta) -> PeltierParams:
-        alpha, k_cond, c_heat = (float(v) for v in theta)
-        return PeltierParams(
-            alpha=alpha, r_ohm=MEASURED_RESISTANCE, k_cond=k_cond, c_heat=c_heat
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +155,7 @@ def _fd_jacobian(problem: MatchProblem, theta: np.ndarray, r: np.ndarray) -> np.
         h = FD_STEP * max(abs(theta[i]), 1e-6)
         step = theta.copy()
         step[i] = theta[i] + h if theta[i] + h <= UPPER[i] else theta[i] - h
-        rs = _residual_vector(problem, problem.params_from(step))
+        rs = _residual_vector(problem, params_from(step))
         jac[:, i] = 0.0 if rs is None else (rs - r) / (step[i] - theta[i])
     return jac
 
@@ -179,7 +179,11 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
         return np.minimum(np.maximum(ref * np.exp(phi), LOWER), UPPER)
 
     def residual(phi):
-        return _residual_vector(problem, problem.params_from(theta_of(phi)))
+        theta = theta_of(phi)
+        # a step that overflowed is NaN, which the clip keeps: not a parameter set
+        if not np.all(np.isfinite(theta)):
+            return None
+        return _residual_vector(problem, params_from(theta))
 
     def jacobian(phi, r):
         theta = theta_of(phi)
@@ -200,7 +204,7 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
     at_bound = bool(np.any(np.isclose(theta, LOWER, rtol=1e-12, atol=0.0))
                     or np.any(np.isclose(theta, UPPER, rtol=1e-12, atol=0.0)))
     return MatchResult(
-        params=problem.params_from(theta),
+        params=params_from(theta),
         sse=cost,
         iterations=iterations,
         converged=reason in CONVERGED_REASONS and not at_bound,

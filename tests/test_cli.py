@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from twindisc import cli, criteria, sysid
+from twindisc import cli, configio, criteria, sysid
 from twindisc.lti import DiscreteTransferFunction
-from twindisc.twin import TimeSeriesDataset, read_csv, write_csv
+from twindisc.twin import PeltierParams, TimeSeriesDataset, read_csv, write_csv
 
 from helpers import read_report, validate_report
 
@@ -923,6 +923,19 @@ class TestMatchCommand:
         assert payload["sse"] >= 0.0
         assert payload["dataset"] == "seventy"
 
+    def test_params_paste_into_a_parameter_file(self, tmp_path):
+        # the JSON params use the parameter file's keys, so a result written
+        # as a setpoint section loads back to the same parameters
+        out = tmp_path / "match.json"
+        assert cli.main(["match", self._dataset(tmp_path), "--out", str(out)]) == 0
+        fitted = json.loads(out.read_text())["params"]
+        params = tmp_path / "params.ini"
+        params.write_text("[peltier.70]\n" + "".join(f"{k} = {v!r}\n" for k, v in fitted.items()))
+        assert configio.load_params_file(params) == {70.0: PeltierParams(
+            alpha=fitted["alpha_v_per_k"], r_ohm=fitted["r_ohm"],
+            k_cond=fitted["k_w_per_k"], c_heat=fitted["c_j_per_k"],
+        )}
+
     def test_unknown_preset_lists_options(self, tmp_path, capsys):
         path = self._dataset(tmp_path)
         code = cli.main(["match", path, "--initial", "folklore", "--out", str(tmp_path / "m.json")])
@@ -1080,6 +1093,30 @@ class TestMatchCommand:
         assert [line for line in err if line.startswith("error:")] == [
             "error: no start reached a finite SSE (the best is inf)"
         ]
+
+    def test_unstable_euler_twin_is_one_error_line(self, tmp_path, capsys):
+        # a 60 s sample with one Euler substep is an unstable twin: the normal
+        # equations overflow and the damped solve gives NaN steps
+        (tmp_path / "params.ini").write_text(
+            "[peltier.70]\nr_ohm = 3.3\nalpha_v_per_k = 0.0211\n"
+            "k_w_per_k = 0.286\nc_j_per_k = 11.1\n"
+        )
+        sim = "[simulation]\nsetpoints = 70\nduration_s = 36000\nsample_time_s = 60\n"
+        sensor = "[sensor]\nnoise_std_c = 0.05\n"
+        (tmp_path / "sim.ini").write_text(sim + "ode_substeps = 600\n" + sensor)
+        (tmp_path / "euler.ini").write_text(sim + "ode_substeps = 1\n" + sensor)
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--config", str(tmp_path / "sim.ini"), "--params",
+                         str(tmp_path / "params.ini"), "--out-dir", str(data), "--seed", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["match", str(data / "dataset_70.csv"),
+                             "--config", str(tmp_path / "euler.ini"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no start reached a finite SSE (the best is inf)\n"
+        assert not out.exists()
 
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")

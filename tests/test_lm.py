@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,28 @@ class TestLevenbergMarquardt:
         assert np.all(np.diff(trace) <= 0.0)
         assert trace[0] == pytest.approx(25.0)
         assert trace[-1] == cost
+
+    @pytest.mark.parametrize("accelerate", [False, True], ids=["plain", "accelerated"])
+    def test_overflowing_normal_equations_warn_nothing_and_accept_no_nan(self, accelerate):
+        # a finite cost (about 1e100) whose J^T J (about 1e400) overflows: the
+        # damped solve then gives NaN steps, which must not become iterates
+        jac = 1e200 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        accepted = []
+
+        def jacobian(th, r):
+            accepted.append(th.copy())
+            return jac
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, cost, _, reason, trace, _ = levenberg_marquardt(
+                lambda th: jac @ th, jacobian, np.full(2, 1e-150),
+                max_iter=20, tol=1e-12, accelerate=accelerate,
+            )
+        assert accepted and all(np.all(np.isfinite(th)) for th in accepted)
+        assert np.all(np.isfinite(theta)) and np.isfinite(cost)
+        assert all(np.isfinite(trace))
+        assert reason == "no_descent"
 
     def test_zero_residual_start_converges_without_steps(self):
         theta, cost, iterations, reason, trace, _ = levenberg_marquardt(

@@ -58,7 +58,7 @@ class TestSseCost:
         rng = np.random.default_rng(13)
         for _ in range(5):
             theta = rng.uniform(LOWER, UPPER)
-            assert sse_cost(problem, problem.params_from(theta)) >= 0.0
+            assert sse_cost(problem, matching.params_from(theta)) >= 0.0
 
     def test_alpha_perturbation_costs(self):
         problem = make_problem()
@@ -92,8 +92,8 @@ def richardson_jacobian(problem, theta, rel_step=1e-3):
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        r_up = matching._residual_vector(problem, problem.params_from(up))
-        r_dn = matching._residual_vector(problem, problem.params_from(dn))
+        r_up = matching._residual_vector(problem, matching.params_from(up))
+        r_dn = matching._residual_vector(problem, matching.params_from(dn))
         return (r_up - r_dn) / (2.0 * h)
 
     columns = []
@@ -116,7 +116,7 @@ class TestFdJacobian:
     def test_agrees_with_richardson_reference(self, theta):
         problem = make_problem(duration=60.0)
         theta = np.array(theta)
-        r = matching._residual_vector(problem, problem.params_from(theta))
+        r = matching._residual_vector(problem, matching.params_from(theta))
         jac = matching._fd_jacobian(problem, theta, r)
         ref = richardson_jacobian(problem, theta)
         # column by column in the 2-norm, since single entries pass through zero
@@ -126,7 +126,7 @@ class TestFdJacobian:
     def test_one_simulation_per_column_inside_the_box(self, monkeypatch):
         problem = make_problem(duration=60.0)
         theta = np.array([TRUTH_70.alpha, UPPER[1], UPPER[2]])
-        r = matching._residual_vector(problem, problem.params_from(theta))
+        r = matching._residual_vector(problem, matching.params_from(theta))
         stepped = []
 
         def counting(p, *args, **kwargs):
