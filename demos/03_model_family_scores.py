@@ -32,11 +32,13 @@ for label in sorted(family.models):
     fit_y, fit_u = family.fits[(label, "y")], family.fits[(label, "u")]
     # every score is a function of the fits' own free-run residuals
     residuals = (fit_y.sim_residuals, fit_u.sim_residuals)
-    gains = simo_information_gain(dataset, residuals, precision=2)
-    crit = simo_criteria(residuals, fit_y.model.n_params)
+    ig_y, ig_u = simo_information_gain(dataset, residuals, precision=2)
+    crit_y, crit_u = simo_criteria(residuals, fit_y.model.n_params)
+    # a two-channel model scores the sum of its channel scores
     print(
-        f"{label:>6} {gains.y.gain:7d} {gains.u.gain:7d} {gains.total_gain:7d} "
-        f"{crit.naic_total:9.4f} {crit.bic_total:11.2f} {crit.mdl_total:9.4f}"
+        f"{label:>6} {ig_y.gain:7d} {ig_u.gain:7d} {ig_y.gain + ig_u.gain:7d} "
+        f"{crit_y.naic + crit_u.naic:9.4f} {crit_y.bic + crit_u.bic:11.2f} "
+        f"{crit_y.mdl + crit_u.mdl:9.4f}"
     )
 
 print()

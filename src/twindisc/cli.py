@@ -174,11 +174,13 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         n_params = fit_y.model.n_params
         sim = (fit_y.sim_residuals, fit_u.sim_residuals)
         pred = (fit_y.pred_residuals, fit_u.pred_residuals)
-        gains = coding.simo_information_gain(dataset, sim, opts.precision)
-        crit = criteria.simo_criteria(sim if opts.residual_source == "sim" else pred, n_params)
-        channel = {}
-        for name, ig, rep in (("y", gains.y, crit.y), ("u", gains.u, crit.u)):
-            channel[name] = {
+        ig_y, ig_u = coding.simo_information_gain(dataset, sim, opts.precision)
+        crit_y, crit_u = criteria.simo_criteria(
+            sim if opts.residual_source == "sim" else pred, n_params
+        )
+        row = {"order": label, "n_params": n_params}
+        for name, ig, rep in (("y", ig_y, crit_y), ("u", ig_u, crit_u)):
+            row[name] = {
                 "l_trivial": ig.l_trivial,
                 "l_model": ig.l_model,
                 "gain": ig.gain,
@@ -189,22 +191,16 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
                 "loss": rep.loss,
                 "zero_loss": rep.zero_loss,
             }
-        rows.append(
-            {
-                "order": label,
-                "n_params": n_params,
-                "y": channel["y"],
-                "u": channel["u"],
-                "ig_total": gains.total_gain,
-                "naic_total": _num(crit.naic_total),
-                "bic_total": _num(crit.bic_total),
-                "mdl_total": crit.mdl_total,
-            }
-        )
-        scores["information_gain"].append(-gains.total_gain)
-        scores["naic"].append(crit.naic_total)
-        scores["bic"].append(crit.bic_total)
-        scores["mdl"].append(crit.mdl_total)
+        # a model scores the sum of its two channels' scores, y + u: summed here only
+        ig_total = ig_y.gain + ig_u.gain
+        naic_total = crit_y.naic + crit_u.naic
+        bic_total = crit_y.bic + crit_u.bic
+        mdl_total = crit_y.mdl + crit_u.mdl
+        row.update(ig_total=ig_total, naic_total=_num(naic_total),
+                   bic_total=_num(bic_total), mdl_total=mdl_total)
+        rows.append(row)
+        for key, score in zip(CRITERION_KEYS, (-ig_total, naic_total, bic_total, mdl_total)):
+            scores[key].append(score)
 
     best, ties = _best_orders([row["order"] for row in rows], scores)
     order_for_gap = _nugap_model_order(best)

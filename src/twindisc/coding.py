@@ -48,18 +48,6 @@ class InformationGainReport:
         return self.gain / self.l_trivial
 
 
-@dataclass(frozen=True)
-class SimoGainReport:
-    """Per-channel information gains of a two-channel model and their sum."""
-
-    y: InformationGainReport
-    u: InformationGainReport
-
-    @property
-    def total_gain(self) -> int:
-        return self.y.gain + self.u.gain
-
-
 def encode_number(n: float, precision: int = DEFAULT_PRECISION) -> str:
     """Encode a real as a signed integer token, e.g. 10.34 -> "+1034".
 
@@ -102,14 +90,12 @@ def information_gain(
 
 def simo_information_gain(
     dataset, residuals, precision: int = DEFAULT_PRECISION
-) -> SimoGainReport:
+) -> tuple[InformationGainReport, InformationGainReport]:
     """Score both channels of a SIMO model against one recorded dataset.
 
     ``residuals`` is the model's ``(res_y, res_u)`` pair of simulation errors
-    on the dataset; the model's total gain is the sum of the per-channel gains.
+    on the dataset; returns the ``(y, u)`` pair of per-channel reports.
     """
     res_y, res_u = residuals
-    return SimoGainReport(
-        y=information_gain(dataset.y, res_y, precision),
-        u=information_gain(dataset.u, res_u, precision),
-    )
+    return (information_gain(dataset.y, res_y, precision),
+            information_gain(dataset.u, res_u, precision))

@@ -1,8 +1,8 @@
 """Penalized-likelihood scores for prediction-error sequences.
 
 Three standard criteria (normalized AIC, BIC, and a minimum-description-
-length index) computed per channel and summed over the two channels of a
-SIMO model.  Smaller is better for all three.
+length index) computed per channel; a SIMO model scores the sum over its
+two channels.  Smaller is better for all three.
 """
 
 from __future__ import annotations
@@ -73,34 +73,12 @@ def criteria_report(residuals, n_params: int) -> CriteriaReport:
     )
 
 
-@dataclass(frozen=True)
-class SimoCriteriaReport:
-    """Per-channel criteria plus the channel sums used for ranking."""
-
-    y: CriteriaReport
-    u: CriteriaReport
-
-    @property
-    def naic_total(self) -> float:
-        return self.y.naic + self.u.naic
-
-    @property
-    def bic_total(self) -> float:
-        return self.y.bic + self.u.bic
-
-    @property
-    def mdl_total(self) -> float:
-        return self.y.mdl + self.u.mdl
-
-
-def simo_criteria(residuals, n_params: int) -> SimoCriteriaReport:
+def simo_criteria(residuals, n_params: int) -> tuple[CriteriaReport, CriteriaReport]:
     """Score a SIMO model from its ``(res_y, res_u)`` residual pair.
 
     Each channel is scored on its own (n_y = 1); the pair may hold free-run
-    simulation errors or one-step prediction errors.
+    simulation errors or one-step prediction errors.  Returns the ``(y, u)``
+    pair of per-channel reports.
     """
     res_y, res_u = residuals
-    return SimoCriteriaReport(
-        y=criteria_report(res_y, n_params),
-        u=criteria_report(res_u, n_params),
-    )
+    return criteria_report(res_y, n_params), criteria_report(res_u, n_params)

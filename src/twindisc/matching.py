@@ -194,6 +194,11 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
         bounds=(np.log(LOWER / ref), np.log(UPPER / ref)), accelerate=True,
     )
     if search is None:
+        # the first start is the initial guess: its run says how they diverged
+        try:
+            simulate_closed_loop(params_from(ref), problem.sim_config, reference=problem.dataset.r)
+        except SimulationDivergedError as exc:
+            raise MatchFailureError(f"every multistart diverged; at the initial guess, {exc}") from None
         raise MatchFailureError("every multistart diverged")
     idx, outcomes = search
     phi, cost, iterations, reason, trace, _ = outcomes[idx]

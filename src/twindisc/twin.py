@@ -32,11 +32,7 @@ MAX_SAMPLES = 1_000_000
 
 
 class SimulationDivergedError(RuntimeError):
-    """The integrator produced a non-finite state."""
-
-    def __init__(self, step: int):
-        self.step = int(step)
-        super().__init__(f"simulation state became non-finite at step {self.step}")
+    """The Euler step is unstable for the parameters, or the state became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,9 @@ def simulate_closed_loop(
     The reference defaults to a constant setpoint step applied from rest at
     ambient; passing an explicit reference array overrides it (its length
     then sets the horizon).  Integration is fixed-step explicit Euler with
-    ``ode_substeps`` substeps per control period.  The recorded temperature
+    ``ode_substeps`` substeps per control period; a step the integrator is
+    unstable at raises SimulationDivergedError before the run, as a state
+    that becomes non-finite does during it.  The recorded temperature
     carries the configured sensor noise and quantization; the controller
     acts on the same corrupted measurement.
     """
@@ -213,6 +211,18 @@ def simulate_closed_loop(
     quant = cfg.sensor.quantization
     kelvin = KELVIN_OFFSET
     substeps = range(cfg.ode_substeps)
+    # At a fixed current the state equations are linear in (t_a, t_b); the
+    # Seebeck term (current <= 0) moves both decay rates toward zero, so
+    # explicit Euler is stable at every current exactly when dt_sub * mu < 2,
+    # mu the faster decay rate at zero current.
+    a, b = k_cond + g_surf, k_cond + g_sink
+    mu = (0.5 * (a + b) + math.hypot(0.5 * (a - b), k_cond)) / c_heat
+    if not dt_sub * mu < 2.0:
+        raise SimulationDivergedError(
+            f"the Euler step of {dt_sub:g} s is unstable for these parameters: "
+            f"ode_substeps = {cfg.ode_substeps}, the smallest stable is "
+            f"{math.floor(dt * mu / 2.0) + 1}"
+        )
 
     t_a = t_b = float(cfg.ambient)
     integ = 0.0
@@ -257,7 +267,7 @@ def simulate_closed_loop(
             t_a += dt_sub * (-q_a - g_surf * (t_a - ambient)) / c_heat
             t_b += dt_sub * (-q_b - g_sink * (t_b - ambient)) / c_heat
         if not (math.isfinite(t_a) and math.isfinite(t_b)):
-            raise SimulationDivergedError(k)
+            raise SimulationDivergedError(f"simulation state became non-finite at step {k}")
 
     t = np.arange(n) * dt
     return TimeSeriesDataset(t, ref, u_trace, y_trace, label=cfg.label)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -224,7 +225,7 @@ class TestSimulateCommand:
         cfg = tmp_path / "sim.ini"
         cfg.write_text(CONFIG)
         params = tmp_path / "params.ini"
-        # the first run succeeds, the second diverges at step 13
+        # the first run succeeds, the second's Euler step is unstable
         params.write_text(
             PARAMS.replace("c_j_per_k = 15.0", "c_j_per_k = 20")
             + "\n[peltier.50]\nc_j_per_k = 0.001\n"
@@ -236,7 +237,8 @@ class TestSimulateCommand:
             ["simulate", "--config", str(cfg), "--params", str(params), "--out-dir", str(out)]
         )
         assert code == 1
-        assert "non-finite at step 13" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: the Euler step of 0.1 s is unstable") and err.count("\n") == 1
         assert sorted(os.listdir(out)) == ["dataset_30.csv"]
         assert (out / "dataset_30.csv").read_text() == "old"
 
@@ -451,6 +453,25 @@ class TestDiscriminateCommand:
         header = csv_text.splitlines()[0].split(",")
         assert header[:3] == ["setpoint", "order", "n_params"]
         assert len(csv_text.splitlines()) == 1 + 2 * 2
+
+    def test_shipped_report_sums_each_orders_channels(self, tmp_path):
+        # a model scores y + u exactly; a criterion at -inf on either channel is null
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        assert cli.main(["simulate", "--config", str(configs / "twin_default.ini"),
+                         "--params", str(configs / "peltier_matched.ini"),
+                         "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+        assert cli.main(["discriminate", *map(str, sorted(tmp_path.glob("dataset_*.csv"))),
+                         "--out", str(tmp_path / "report")]) == 0
+        report = read_report(tmp_path / "report.json")
+        rows = [row for ds in report["datasets"] for row in ds["orders"]]
+        assert len(rows) == 4 * 4
+        for row in rows:
+            y, u = row["y"], row["u"]
+            assert row["ig_total"] == y["gain"] + u["gain"]
+            assert row["mdl_total"] == y["mdl"] + u["mdl"]
+            for key in ("naic", "bic"):
+                expected = None if None in (y[key], u[key]) else y[key] + u[key]
+                assert row[f"{key}_total"] == expected
 
     def test_single_dataset_omits_nugap_with_note(self, tmp_path, campaign_files):
         out = tmp_path / "single"
@@ -1094,14 +1115,15 @@ class TestMatchCommand:
             "error: no start reached a finite SSE (the best is inf)"
         ]
 
-    def test_unstable_euler_twin_is_one_error_line(self, tmp_path, capsys):
-        # a 60 s sample with one Euler substep is an unstable twin: the normal
-        # equations overflow and the damped solve gives NaN steps
+    @staticmethod
+    def _euler_case(tmp_path, capsys, duration_s):
+        """A record at 60 s sampling, simulated at a stable step, and the
+        config that matches it with one Euler substep per sample."""
         (tmp_path / "params.ini").write_text(
             "[peltier.70]\nr_ohm = 3.3\nalpha_v_per_k = 0.0211\n"
             "k_w_per_k = 0.286\nc_j_per_k = 11.1\n"
         )
-        sim = "[simulation]\nsetpoints = 70\nduration_s = 36000\nsample_time_s = 60\n"
+        sim = f"[simulation]\nsetpoints = 70\nduration_s = {duration_s}\nsample_time_s = 60\n"
         sensor = "[sensor]\nnoise_std_c = 0.05\n"
         (tmp_path / "sim.ini").write_text(sim + "ode_substeps = 600\n" + sensor)
         (tmp_path / "euler.ini").write_text(sim + "ode_substeps = 1\n" + sensor)
@@ -1109,14 +1131,46 @@ class TestMatchCommand:
         assert cli.main(["simulate", "--config", str(tmp_path / "sim.ini"), "--params",
                          str(tmp_path / "params.ini"), "--out-dir", str(data), "--seed", "1"]) == 0
         capsys.readouterr()
+        return data / "dataset_70.csv", tmp_path / "euler.ini"
+
+    # every start's 60 s Euler step is unstable, so none is a candidate
+    EULER_ERROR = (
+        "error: every multistart diverged; at the initial guess, the Euler step of 60 s "
+        "is unstable for these parameters: ode_substeps = 1, the smallest stable is 5\n"
+    )
+
+    def test_unstable_euler_twin_is_one_error_line(self, tmp_path, capsys):
+        dataset, euler = self._euler_case(tmp_path, capsys, 36000)
         out = tmp_path / "m.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["match", str(data / "dataset_70.csv"),
-                             "--config", str(tmp_path / "euler.ini"), "--out", str(out)])
+            code = cli.main(["match", str(dataset), "--config", str(euler), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: no start reached a finite SSE (the best is inf)\n"
+        assert capsys.readouterr().err == self.EULER_ERROR
         assert not out.exists()
+
+    def test_short_unstable_euler_record_is_one_error_line(self, tmp_path, capsys):
+        # 50 samples are too few for the unstable twin to overflow, so without
+        # the step check this match converged to an SSE of 6e15
+        dataset, euler = self._euler_case(tmp_path, capsys, 3000)
+        out = tmp_path / "m.json"
+        code = cli.main(["match", str(dataset), "--config", str(euler), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == self.EULER_ERROR
+        assert not out.exists()
+        # simulate with that config writes nothing either
+        out_dir = tmp_path / "euler_out"
+        out_dir.mkdir()
+        (out_dir / "keep.txt").write_text("old")
+        code = cli.main(["simulate", "--config", str(euler), "--params",
+                         str(tmp_path / "params.ini"), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the Euler step of 60 s is unstable for these parameters: "
+            "ode_substeps = 1, the smallest stable is 5\n"
+        )
+        assert os.listdir(out_dir) == ["keep.txt"]
+        assert (out_dir / "keep.txt").read_text() == "old"
 
     def test_initial_parsing(self):
         params = cli._parse_initial("0.05,0.4,12.5")
@@ -1216,3 +1270,36 @@ def test_match_y_channel_with_config_bytes_are_pinned(tmp_path, c10_campaign):
          "--channels", "y", "--config", str(tmp_path / "sim.ini"), "--out", str(out)]
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MATCH_Y_CONFIG_SHA256
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS's Prescott kernels and numpy's X86_V4 loops are x86 kernel choices",
+)
+def test_simulate_bits_do_not_depend_on_the_numeric_kernels(tmp_path):
+    # the same run with OpenBLAS's Prescott kernels and, where the CPU has
+    # them, numpy's AVX-512 loops off (numpy refuses to disable a baseline
+    # feature): every output byte stays
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    argv = ["simulate", "--config", str(configs / "twin_default.ini"),
+            "--params", str(configs / "peltier_matched.ini"), "--seed", "0", "--out-dir"]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    if "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4"):
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "twindisc", *argv, str(tmp_path / "forced")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main([*argv, str(tmp_path / "default")]) == 0
+    names = sorted(os.listdir(tmp_path / "default"))
+    assert names == ["dataset_30.csv", "dataset_50.csv", "dataset_70.csv", "dataset_90.csv",
+                     "manifest.json"]
+    assert sorted(os.listdir(tmp_path / "forced")) == names
+    for name in names:
+        forced, default = (tmp_path / run / name for run in ("forced", "default"))
+        assert forced.read_bytes() == default.read_bytes(), name

@@ -145,15 +145,14 @@ class TestCriteriaReport:
 
 
 class TestSimoCriteria:
-    def test_identical_channels_double_the_totals(self):
+    def test_identical_channels_score_alike(self):
         res = 0.1 * np.random.default_rng(21).standard_normal(120)
-        scored = simo_criteria((res, res.copy()), n_params=4)
-        assert scored.naic_total == pytest.approx(2 * scored.y.naic)
-        assert scored.bic_total == pytest.approx(2 * scored.y.bic)
-        assert scored.mdl_total == pytest.approx(2 * scored.y.mdl)
+        y, u = simo_criteria((res, res.copy()), n_params=4)
+        assert y == u == criteria_report(res, n_params=4)
 
     def test_perfect_model_sentinels(self):
-        scored = simo_criteria((np.zeros(100), np.zeros(100)), n_params=4)
-        assert scored.y.zero_loss and scored.u.zero_loss
-        assert scored.naic_total == -math.inf
-        assert scored.mdl_total == 0.0
+        y, u = simo_criteria((np.zeros(100), np.zeros(100)), n_params=4)
+        for channel in (y, u):
+            assert channel.zero_loss
+            assert channel.naic == channel.bic == -math.inf
+            assert channel.mdl == 0.0

@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestClosedLoop:
         cfg = SimConfig(setpoint=50.0, sensor=SensorConfig(quantization=0.5))
         ds = simulate_closed_loop(p, cfg)
         assert np.allclose(np.round(ds.y / 0.5) * 0.5, ds.y, atol=1e-12)
+
+    def test_unstable_euler_step_is_refused_before_the_run(self):
+        # the smallest stable substep count from the eigenvalues of the
+        # state matrix at zero current, against the count the error names
+        p = params_for(70.0)
+        cfg = clean_cfg(70.0, duration=3000.0, sample_time=60.0, ode_substeps=1)
+        a = p.k_cond + cfg.surface_conductance
+        b = p.k_cond + cfg.heatsink_conductance
+        rates = np.linalg.eigvalsh(np.array([[a, -p.k_cond], [-p.k_cond, b]]) / p.c_heat)
+        stable = int(cfg.sample_time * rates.max() / 2.0) + 1
+        with pytest.raises(twin.SimulationDivergedError,
+                           match=f"ode_substeps = 1, the smallest stable is {stable}$"):
+            simulate_closed_loop(p, cfg)
+        with pytest.raises(twin.SimulationDivergedError, match="Euler step of 15 s is unstable"):
+            simulate_closed_loop(p, replace(cfg, ode_substeps=stable - 1))
+        assert len(simulate_closed_loop(p, replace(cfg, ode_substeps=stable))) == 50
+
+    def test_state_that_overflows_at_a_stable_step_diverges(self):
+        # the Seebeck heat of an absurd alpha overflows in the first sample
+        p = PeltierParams(alpha=1e300, r_ohm=3.3, k_cond=0.3, c_heat=15.0)
+        with pytest.raises(twin.SimulationDivergedError, match="non-finite at step 0$"):
+            simulate_closed_loop(p, clean_cfg(50.0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
