@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -87,6 +88,117 @@ def _output_set():
             with contextlib.suppress(OSError):
                 os.remove(f"{path}.tmp")
         raise
+
+
+def _write_csvs(in_fd: int, status_fd: int, parent_fds):
+    """The writer process: write each (dataset, path) that arrives, then exit.
+
+    It leaves only through ``os._exit``, so it runs no exit handler and
+    flushes none of the stdio buffers it shares with its parent.  The
+    exception that stops it goes to the parent, pickled.
+    """
+    code = 1
+    try:
+        for fd in parent_fds:  # so that the input ends when the parent closes its end
+            os.close(fd)
+        with os.fdopen(in_fd, "rb") as pipe:
+            while True:
+                try:
+                    dataset, path = pickle.load(pipe)
+                except EOFError:
+                    break
+                twin.write_csv(dataset, path)
+        code = 0
+    except BaseException as exc:
+        with contextlib.suppress(BaseException):
+            os.write(status_fd, pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _csv_writer():
+    """Write datasets as CSV files in a forked process, while this one goes on.
+
+    The block hands over each dataset with ``write(dataset, path)``; the
+    child calls ``twin.write_csv`` on them in order.  Every way out of the
+    block reaps the child first.  An exception the child stops on is raised
+    here, at the next ``write`` or at the end of the block; an exception
+    from the block itself propagates as it is, and the child is left to
+    write what it was already sent.
+    """
+    in_fd, out_fd = os.pipe()
+    status_in, status_out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (in_fd, out_fd, status_in, status_out):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _write_csvs(in_fd, status_out, (out_fd, status_in))
+    os.close(in_fd)
+    os.close(status_out)
+    pipe = os.fdopen(out_fd, "wb")
+
+    def reap():
+        """End the child's input, wait for it, and return what stopped it, if anything."""
+        nonlocal pid
+        with contextlib.suppress(BrokenPipeError):
+            pipe.close()
+        # the report ends when the child does, so reading it before the wait
+        # cannot leave the child blocked on a full pipe
+        with os.fdopen(status_in, "rb") as fh:
+            report = fh.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+        if report:
+            return pickle.loads(report)
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            return ChildProcessError(f"the CSV writer process ended with exit code {code}")
+        return None
+
+    def write(dataset, path):
+        try:
+            pickle.dump((dataset, path), pipe)
+            pipe.flush()
+        except BrokenPipeError as exc:
+            # the child has stopped: its own exception says why
+            raise (reap() or exc) from None
+
+    try:
+        yield write
+    except BaseException:
+        if pid:  # not yet reaped by a write that found the child gone
+            with contextlib.suppress(Exception):
+                reap()
+        raise
+    error = reap()
+    if error is not None:
+        raise error
+
+
+def _make_dirs(path: str) -> list:
+    """``os.makedirs(path)``; returns the directories it made, deepest first."""
+    made = []
+    head = os.path.normpath(path)
+    while head and not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError:
+        _remove_empty(made)
+        raise
+    return made
+
+
+def _remove_empty(dirs) -> None:
+    """Remove each directory that is empty, in order; leave the others."""
+    for path in dirs:
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
 
 
 def _check_out_paths(*paths: str, inputs=()) -> None:
@@ -325,34 +437,41 @@ def cmd_simulate(args):
         sp: configio.params_for_setpoint(params_map, sp, args.params) for sp in setpoints
     }
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
+        made_dirs = _make_dirs(args.out_dir)
     except OSError as exc:
         raise OSError(f"--out-dir: {exc}") from exc
     labels = [twin.setpoint_label(sp) for sp in sorted(by_setpoint)]
     paths = [os.path.join(args.out_dir, f"dataset_{label}.csv") for label in labels]
     manifest_path = os.path.join(args.out_dir, "manifest.json")
+    # passes whenever made_dirs is not empty: a directory just made holds no file
     _check_out_paths(*paths, manifest_path, inputs=(args.config, args.params))
 
     def work():
-        # each run goes to <path>.tmp as soon as it is simulated, so one run is
-        # held at a time; the files take their names once the manifest is written
+        # each run goes to the writer process as soon as it is simulated, so one
+        # run is held at a time; the files take their names once the writer is
+        # done and the manifest is written
         entries, wrote = [], []
-        with _output_set() as stage:
-            campaign = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
-            for i, (path, ds) in enumerate(zip(paths, campaign)):
-                twin.write_csv(ds, stage(path))
-                entries.append({"label": ds.label, "file": os.path.basename(path),
-                                "sensor_seed": args.seed + i})
-                wrote.append(f"wrote {path} ({len(ds)} samples)")
-            manifest = {
-                "seed": args.seed,
-                "config": os.path.basename(args.config),
-                "config_sha256": _sha256_file(args.config),
-                "params": os.path.basename(args.params),
-                "params_sha256": _sha256_file(args.params),
-                "datasets": entries,
-            }
-            stage(manifest_path, json.dumps(manifest, indent=2) + "\n")
+        try:
+            with _output_set() as stage:
+                with _csv_writer() as write:
+                    campaign = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
+                    for i, (path, ds) in enumerate(zip(paths, campaign)):
+                        write(ds, stage(path))
+                        entries.append({"label": ds.label, "file": os.path.basename(path),
+                                        "sensor_seed": args.seed + i})
+                        wrote.append(f"wrote {path} ({len(ds)} samples)")
+                manifest = {
+                    "seed": args.seed,
+                    "config": os.path.basename(args.config),
+                    "config_sha256": _sha256_file(args.config),
+                    "params": os.path.basename(args.params),
+                    "params_sha256": _sha256_file(args.params),
+                    "datasets": entries,
+                }
+                stage(manifest_path, json.dumps(manifest, indent=2) + "\n")
+        except BaseException:
+            _remove_empty(made_dirs)
+            raise
         print(*wrote, f"wrote {manifest_path}", sep="\n")
 
     return work

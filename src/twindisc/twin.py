@@ -243,15 +243,25 @@ def simulate_closed_loop(
 
         new_integ = integ + ki * dt * err
         u_raw = kp * err + new_integ + d_term
-        if conditional and (
-            (u_raw > out_max and err > 0.0) or (u_raw < out_min and err < 0.0)
-        ):
-            # saturated and the error would push further out: hold the integrator
-            new_integ = integ
-            u_raw = kp * err + new_integ + d_term
-        # the stored integrator never exceeds what maps to the saturation edge
-        integ = min(max(new_integ, integ_min), out_max) if conditional else new_integ
-        u = min(max(u_raw, out_min), out_max)
+        # Each clamp below is min(max(x, lo), hi) as those builtins evaluate
+        # it: a bound replaces x only when strictly beyond it, so a tie (and
+        # a signed zero) keeps x; lo < hi, so at most one bound applies.
+        if conditional:
+            if (u_raw > out_max and err > 0.0) or (u_raw < out_min and err < 0.0):
+                # saturated and the error would push further out: hold the integrator
+                new_integ = integ
+                u_raw = kp * err + new_integ + d_term
+            # the stored integrator never exceeds what maps to the saturation edge
+            if integ_min > new_integ:
+                new_integ = integ_min
+            elif out_max < new_integ:
+                new_integ = out_max
+        integ = new_integ
+        u = u_raw
+        if out_min > u:
+            u = out_min
+        elif out_max < u:
+            u = out_max
 
         u_trace[k] = u
         y_trace[k] = y_meas
@@ -260,12 +270,16 @@ def simulate_closed_loop(
         joule_half = 0.5 * current * current * r_ohm
         seebeck = alpha * current
         for _ in substeps:
-            # q_b's conduction term k * (t_b - t_a) is exactly -flow in IEEE-754
+            # each face loses its module heat flow q and its leak to ambient;
+            # q_b's conduction term k * (t_b - t_a) is exactly -flow, and
+            # t += dt * (-q - leak) / c is exactly t -= dt * (q + leak) / c
             flow = k_cond * (t_a - t_b)
-            q_a = seebeck * (t_a + kelvin) - joule_half + flow
-            q_b = seebeck * (t_b + kelvin) - joule_half - flow
-            t_a += dt_sub * (-q_a - g_surf * (t_a - ambient)) / c_heat
-            t_b += dt_sub * (-q_b - g_sink * (t_b - ambient)) / c_heat
+            t_a -= dt_sub * (
+                seebeck * (t_a + kelvin) - joule_half + flow + g_surf * (t_a - ambient)
+            ) / c_heat
+            t_b -= dt_sub * (
+                seebeck * (t_b + kelvin) - joule_half - flow + g_sink * (t_b - ambient)
+            ) / c_heat
         if not (math.isfinite(t_a) and math.isfinite(t_b)):
             raise SimulationDivergedError(f"simulation state became non-finite at step {k}")
 

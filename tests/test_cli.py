@@ -76,14 +76,16 @@ for name, argv in runs.items():
     code = cli.main(argv) if argv else 0
     loaded = {top: sorted(m for m in sys.modules if m.partition(".")[0] == top)
               for top in ("scipy", "jsonschema")}
-    seen[name] = {"code": code, **loaded}
+    process = [m for m in ("multiprocessing", "concurrent.futures", "subprocess")
+               if m in sys.modules]
+    seen[name] = {"code": code, "process": process, **loaded}
 print(json.dumps(seen))
 """
 
 
 @pytest.fixture(scope="module")
 def modules_per_command(tmp_path_factory):
-    """The scipy and jsonschema modules loaded after each command, in turn.
+    """The scipy, jsonschema and process-pool modules loaded after each command, in turn.
 
     Runs in a fresh interpreter, since this one has both loaded already.
     """
@@ -117,6 +119,14 @@ def test_no_command_loads_jsonschema(modules_per_command):
     # the report schema is checked by the tests, not on every run
     seen = {name: run["jsonschema"] for name, run in modules_per_command.items()}
     assert seen == {"import": [], "simulate": [], "match": [], "discriminate": []}
+
+
+def test_start_up_loads_no_process_module(modules_per_command):
+    # simulate's writer process is a bare os.fork, so neither start-up nor
+    # simulate loads multiprocessing, concurrent.futures or subprocess (scipy,
+    # which only discriminate loads, brings in the last two)
+    seen = {name: run["process"] for name, run in modules_per_command.items()}
+    assert seen["import"] == seen["simulate"] == seen["match"] == []
 
 
 class TestSimulateCommand:
@@ -399,6 +409,90 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert sorted(os.listdir(out)) == ["dataset_30.csv", "dataset_70.csv.tmp"]
         assert (out / "dataset_30.csv").read_text() == "old"
+
+    @pytest.fixture()
+    def writer_pids(self, monkeypatch):
+        """The pid of each process the command forks."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def _assert_reaped(pids):
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+
+    def test_writer_process_is_reaped_after_a_campaign(self, tmp_path, writer_pids):
+        out = tmp_path / "out"
+        assert cli.main(self._four_setpoints(tmp_path, out)) == 0
+        self._assert_reaped(writer_pids)
+        assert sorted(os.listdir(out)) == [
+            "dataset_30.csv", "dataset_50.csv", "dataset_70.csv", "dataset_90.csv",
+            "manifest.json",
+        ]
+
+    @pytest.mark.parametrize(
+        "error", [cli.twin.SimulationDivergedError, KeyboardInterrupt]
+    )
+    def test_writer_process_is_reaped_when_the_third_run_fails(
+        self, tmp_path, monkeypatch, capsys, writer_pids, error
+    ):
+        # two runs have gone to the writer when the third one raises
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset_30.csv").write_text("old")
+        run = cli.twin.simulate_closed_loop
+        labels = []
+
+        def fail_third(params, cfg):
+            labels.append(cfg.label)
+            if len(labels) == 3:
+                raise error("the third run failed")
+            return run(params, cfg)
+
+        monkeypatch.setattr(cli.twin, "simulate_closed_loop", fail_third)
+        argv = self._four_setpoints(tmp_path, out)
+        if error is KeyboardInterrupt:
+            # an exception that is not a command's failure propagates as it is
+            with pytest.raises(KeyboardInterrupt, match="the third run failed"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == "error: the third run failed\n"
+        assert labels == ["30", "50", "70"]
+        self._assert_reaped(writer_pids)
+        assert sorted(os.listdir(out)) == ["dataset_30.csv"]
+        assert (out / "dataset_30.csv").read_text() == "old"
+
+    def test_writer_process_is_reaped_when_it_fails(self, tmp_path, capsys, writer_pids):
+        # the writer cannot open the third run's file; its error is the command's
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset_70.csv.tmp").mkdir()
+        code = cli.main(self._four_setpoints(tmp_path, out))
+        assert code == 2
+        assert f"{out / 'dataset_70.csv.tmp'}" in capsys.readouterr().err
+        self._assert_reaped(writer_pids)
+        assert sorted(os.listdir(out)) == ["dataset_70.csv.tmp"]
+
+    def test_failed_campaign_removes_the_directories_it_made(self, tmp_path, capsys):
+        _, euler = TestMatchCommand._euler_case(tmp_path, capsys, 3000)
+        new = tmp_path / "new"
+        code = cli.main(["simulate", "--config", str(euler), "--params",
+                         str(tmp_path / "params.ini"), "--out-dir", str(new / "out")])
+        assert code == 1
+        assert "the Euler step of 60 s is unstable" in capsys.readouterr().err
+        assert not (new / "out").exists()
+        assert not new.exists()
 
     def test_output_naming_an_input_is_usage_error_before_any_run(
         self, tmp_path, monkeypatch, capsys

@@ -188,6 +188,7 @@ class TestClosedLoop:
 # numpy-scalar loop: the closed loop must keep its arithmetic and its
 # evaluation order bit for bit.
 STEP_REFERENCE = np.concatenate([np.full(100, 30.0), np.full(200, 45.0)])
+UP_DOWN_REFERENCE = np.concatenate([np.full(150, 60.0), np.full(150, 20.0)])
 PINNED_CASES = {
     "clean": (70.0, {}, None),
     "noise": (70.0, {"sensor": SensorConfig(noise_std=0.05, seed=7)}, None),
@@ -213,11 +214,21 @@ PINNED_CASES = {
     "sample_time_0.5": (50.0, {"sample_time": 0.5, "duration": 300.0}, None),
     "substeps_1": (30.0, {"ode_substeps": 1}, None),
     "substeps_20": (90.0, {"ode_substeps": 20}, None),
+    # a negative out_min, so the integrator's floor is below 0 and the drive
+    # maps from a non-zero out_min; the large kd drives both the output and
+    # the integrator onto each of their bounds (digest recorded from the loop
+    # that clamped with the builtin min and max)
+    "negative_out_min": (
+        30.0,
+        {"pid": PidConfig(kp=2.0, ki=1.0, kd=100.0, out_min=-100.0, out_max=155.0)},
+        UP_DOWN_REFERENCE,
+    ),
 }
 PINNED_DIGESTS = {
     "clean": "3905120f37325d65ddd899bd4935d30054ba6f9887b01ab3da431fe066e0a5d6",
     "kd": "7375b36a801c9df91f3c677bb51dc6bba2d8fe0cee71bd312ba5b4c594bdfeb2",
     "kd_sample_time_0.5": "c41890318423c73ad8a78769810f3bc10086e73224949b22cefc81d868a078d3",
+    "negative_out_min": "9968dcdf80f802b822748622c49e79b3466c0e4aa70970417b72f3c32890c411",
     "no_antiwindup": "8c1f35087f2b06e6d77579627e2bbdcec79f5e3eea7d182421230d99181d537c",
     "noise": "d9956e0831261f5377a74c163b9b11a676c9c2dcab2285087753635569cf543f",
     "noise_quantization": "85980330f2475fcbb261b48d100f3bae900bf45b4ed853c0072dd0939f03725c",
