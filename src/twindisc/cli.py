@@ -62,13 +62,14 @@ class DiscriminateOptions:
 
 
 @contextlib.contextmanager
-def _output_set():
+def _output_set(made_dirs=()):
     """Write a command's output files as one set.
 
     The block stages each file with ``stage(path, text)``, or writes the
     ``.tmp`` path that ``stage(path)`` returns.  The files take their names
-    only once the block ends; if anything fails first, the staged ``.tmp``
-    files are removed and no output is replaced.
+    only once the block ends; if anything fails first, no output is replaced:
+    the staged ``.tmp`` files are removed, then each directory of
+    ``made_dirs`` that is empty, in order.
     """
     staged = []
 
@@ -87,6 +88,9 @@ def _output_set():
         for path in staged:
             with contextlib.suppress(OSError):
                 os.remove(f"{path}.tmp")
+        for path in made_dirs:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise
 
 
@@ -121,11 +125,11 @@ def _csv_writer():
     """Write datasets as CSV files in a forked process, while this one goes on.
 
     The block hands over each dataset with ``write(dataset, path)``; the
-    child calls ``twin.write_csv`` on them in order.  Every way out of the
-    block reaps the child first.  An exception the child stops on is raised
-    here, at the next ``write`` or at the end of the block; an exception
-    from the block itself propagates as it is, and the child is left to
-    write what it was already sent.
+    child calls ``twin.write_csv`` on them in order.  The end of the block,
+    however it comes, reaps the child.  An exception the child stopped on is
+    raised there if the block ended cleanly or on the ``BrokenPipeError`` of
+    a ``write`` to the stopped child.  Any other exception from the block
+    propagates as it is, and the child is left to write what it was sent.
     """
     in_fd, out_fd = os.pipe()
     status_in, status_out = os.pipe()
@@ -141,42 +145,37 @@ def _csv_writer():
     os.close(status_out)
     pipe = os.fdopen(out_fd, "wb")
 
-    def reap():
-        """End the child's input, wait for it, and return what stopped it, if anything."""
-        nonlocal pid
-        with contextlib.suppress(BrokenPipeError):
-            pipe.close()
-        # the report ends when the child does, so reading it before the wait
-        # cannot leave the child blocked on a full pipe
-        with os.fdopen(status_in, "rb") as fh:
-            report = fh.read()
-        status = os.waitpid(pid, 0)[1]
-        pid = 0
-        if report:
-            return pickle.loads(report)
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            return ChildProcessError(f"the CSV writer process ended with exit code {code}")
-        return None
-
     def write(dataset, path):
-        try:
-            pickle.dump((dataset, path), pipe)
-            pipe.flush()
-        except BrokenPipeError as exc:
-            # the child has stopped: its own exception says why
-            raise (reap() or exc) from None
+        pickle.dump((dataset, path), pipe)
+        pipe.flush()
 
+    stopped = None  # the exception the block stopped on
     try:
         yield write
-    except BaseException:
-        if pid:  # not yet reaped by a write that found the child gone
-            with contextlib.suppress(Exception):
-                reap()
+    except BaseException as exc:
+        stopped = exc
         raise
-    error = reap()
-    if error is not None:
-        raise error
+    finally:
+        error = None
+        try:
+            with contextlib.suppress(BrokenPipeError):
+                pipe.close()
+            # the report ends when the child does, so reading it before the wait
+            # cannot leave the child blocked on a full pipe
+            with os.fdopen(status_in, "rb") as fh:
+                report = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            if report:
+                error = pickle.loads(report)
+            elif status:
+                code = os.waitstatus_to_exitcode(status)
+                error = ChildProcessError(f"the CSV writer process ended with exit code {code}")
+        except Exception:
+            if stopped is None:
+                raise
+            # a reap that fails leaves the block's own exception to propagate
+        if error is not None and (stopped is None or isinstance(stopped, BrokenPipeError)):
+            raise error from None  # the child stopped first: its exception says why
 
 
 def _make_dirs(path: str) -> list:
@@ -186,19 +185,9 @@ def _make_dirs(path: str) -> list:
     while head and not os.path.exists(head):
         made.append(head)
         head = os.path.dirname(head)
-    try:
+    with _output_set(made):
         os.makedirs(path, exist_ok=True)
-    except OSError:
-        _remove_empty(made)
-        raise
     return made
-
-
-def _remove_empty(dirs) -> None:
-    """Remove each directory that is empty, in order; leave the others."""
-    for path in dirs:
-        with contextlib.suppress(OSError):
-            os.rmdir(path)
 
 
 def _check_out_paths(*paths: str, inputs=()) -> None:
@@ -217,14 +206,6 @@ def _check_out_paths(*paths: str, inputs=()) -> None:
                 raise ValueError(f"output path {out!r} is an input file")
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _num(value: float):
     """JSON-safe number: non-finite collapses to null (flags carry the why)."""
     return float(value) if math.isfinite(value) else None
@@ -236,8 +217,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
@@ -436,13 +417,24 @@ def cmd_simulate(args):
     by_setpoint = {
         sp: configio.params_for_setpoint(params_map, sp, args.params) for sp in setpoints
     }
+    labels = [twin.setpoint_label(sp) for sp in sorted(by_setpoint)]
+    paths = [os.path.join(args.out_dir, f"dataset_{label}.csv") for label in labels]
+    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    # nothing a run computes goes into the manifest or the "wrote" lines
+    manifest = {"seed": args.seed}
+    for key, path in (("config", args.config), ("params", args.params)):
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        manifest.update({key: os.path.basename(path), f"{key}_sha256": digest})
+    manifest["datasets"] = [
+        {"label": label, "file": os.path.basename(path), "sensor_seed": args.seed + i}
+        for i, (label, path) in enumerate(zip(labels, paths))
+    ]
+    wrote = [f"wrote {path} ({base_cfg.n_samples} samples)" for path in paths]
     try:
         made_dirs = _make_dirs(args.out_dir)
     except OSError as exc:
         raise OSError(f"--out-dir: {exc}") from exc
-    labels = [twin.setpoint_label(sp) for sp in sorted(by_setpoint)]
-    paths = [os.path.join(args.out_dir, f"dataset_{label}.csv") for label in labels]
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
     # passes whenever made_dirs is not empty: a directory just made holds no file
     _check_out_paths(*paths, manifest_path, inputs=(args.config, args.params))
 
@@ -450,28 +442,12 @@ def cmd_simulate(args):
         # each run goes to the writer process as soon as it is simulated, so one
         # run is held at a time; the files take their names once the writer is
         # done and the manifest is written
-        entries, wrote = [], []
-        try:
-            with _output_set() as stage:
-                with _csv_writer() as write:
-                    campaign = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
-                    for i, (path, ds) in enumerate(zip(paths, campaign)):
-                        write(ds, stage(path))
-                        entries.append({"label": ds.label, "file": os.path.basename(path),
-                                        "sensor_seed": args.seed + i})
-                        wrote.append(f"wrote {path} ({len(ds)} samples)")
-                manifest = {
-                    "seed": args.seed,
-                    "config": os.path.basename(args.config),
-                    "config_sha256": _sha256_file(args.config),
-                    "params": os.path.basename(args.params),
-                    "params_sha256": _sha256_file(args.params),
-                    "datasets": entries,
-                }
-                stage(manifest_path, json.dumps(manifest, indent=2) + "\n")
-        except BaseException:
-            _remove_empty(made_dirs)
-            raise
+        with _output_set(made_dirs) as stage:
+            with _csv_writer() as write:
+                campaign = twin.generate_campaign(by_setpoint, base_cfg, seed=args.seed)
+                for path, ds in zip(paths, campaign):
+                    write(ds, stage(path))
+            stage(manifest_path, json.dumps(manifest, indent=2) + "\n")
         print(*wrote, f"wrote {manifest_path}", sep="\n")
 
     return work
@@ -567,7 +543,7 @@ def cmd_match(args):
             "converged": result.converged,
             "at_bound": result.at_bound,
             "start_index": result.start_index,
-            "start_costs": [(_num(c)) for c in result.start_costs],
+            "start_costs": [_num(c) for c in result.start_costs],
         }
         with _output_set() as stage:
             stage(args.out, json.dumps(payload, indent=2) + "\n")

@@ -141,10 +141,8 @@ def _is_stable(monic) -> bool:
 
 def _project_stable(monic: np.ndarray, radius: float = 1.0 - _STABILITY_MARGIN) -> np.ndarray:
     """Radially contract the roots of a monic polynomial into the unit disk."""
-    if monic.size < 2:
-        return monic
     roots = np.roots(monic)
-    rho = float(np.max(np.abs(roots))) if roots.size else 0.0
+    rho = float(np.max(np.abs(roots)))
     if rho < radius:
         return monic
     out = np.real(np.poly(roots * (radius / rho)))

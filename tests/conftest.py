@@ -1,0 +1,34 @@
+"""Shared pytest configuration: the report header names the numeric kernels.
+
+The pinned output digests hold only on the kernels they were recorded
+with, so the first lines of a run say which float64 exp/log dispatch
+target and which OpenBLAS build it ran on, and the variables that steer
+them.
+"""
+
+import os
+
+import numpy as np
+
+
+def _exp_log_targets() -> str:
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    return ", ".join(
+        f"{name} {target['current']}" for name, by_sig in info.items() for target in by_sig.values()
+    )
+
+
+def pytest_report_header(config):
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    env = ", ".join(
+        f"{name}={os.environ.get(name, '')}"
+        for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    )
+    return (
+        f"numeric kernels: float64 {_exp_log_targets()}; "
+        f"{blas.get('openblas configuration', 'OpenBLAS configuration unknown')}; {env}"
+    )

@@ -156,6 +156,59 @@ class TestSimulateCommand:
         assert len(manifest["config_sha256"]) == 64
         assert [d["sensor_seed"] for d in manifest["datasets"]] == [9, 10]
 
+    def test_manifest_records_each_input_and_run(self, tmp_path):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(CONFIG)
+        params = tmp_path / "params.ini"
+        params.write_text(PARAMS)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--params", str(params), "--out-dir", str(out)]
+        assert cli.main([*argv, "--seed", "9"]) == 0
+        expected = {
+            "seed": 9,
+            "config": "sim.ini",
+            "config_sha256": hashlib.sha256(cfg.read_bytes()).hexdigest(),
+            "params": "params.ini",
+            "params_sha256": hashlib.sha256(params.read_bytes()).hexdigest(),
+            "datasets": [
+                {"label": "30", "file": "dataset_30.csv", "sensor_seed": 9},
+                {"label": "50", "file": "dataset_50.csv", "sensor_seed": 10},
+            ],
+        }
+        assert (out / "manifest.json").read_bytes() == (
+            json.dumps(expected, indent=2) + "\n"
+        ).encode()
+
+    def test_stdout_names_each_file_written_and_nothing_on_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(CONFIG)
+        params = tmp_path / "params.ini"
+        params.write_text(PARAMS)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--params", str(params), "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out / 'dataset_30.csv'} (120 samples)\n"
+            f"wrote {out / 'dataset_50.csv'} (120 samples)\n"
+            f"wrote {out / 'manifest.json'}\n"
+        )
+
+        run = cli.twin.simulate_closed_loop
+        labels = []
+
+        def fail_third(params, cfg):
+            labels.append(cfg.label)
+            if len(labels) == 3:
+                raise cli.twin.SimulationDivergedError("the third run failed")
+            return run(params, cfg)
+
+        monkeypatch.setattr(cli.twin, "simulate_closed_loop", fail_third)
+        assert cli.main(self._four_setpoints(tmp_path, tmp_path / "four")) == 1
+        assert labels == ["30", "50", "70"]
+        assert capsys.readouterr().out == ""
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = tmp_path / "sim.ini"
         cfg.write_text(CONFIG)
