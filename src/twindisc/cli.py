@@ -27,7 +27,9 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-CRITERION_KEYS = ("information_gain", "naic", "bic", "mdl")
+# the criteria that add a complexity penalty to a fit's loss; lower is better
+PENALIZED = ("naic", "bic", "mdl")
+CRITERION_KEYS = ("information_gain", *PENALIZED)
 RESIDUAL_SOURCES = ("sim", "pred")
 
 _REPORT_CSV_COLUMNS = (
@@ -222,23 +224,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _best_orders(labels: list, scores: dict) -> tuple[dict, dict]:
-    """Flag the lowest-scoring order per criterion; exact ties go to the lowest index."""
-    best: dict = {}
-    ties: dict = {}
-    for key, values in scores.items():
-        winner, ties[key] = argmin_cumulative(values)
-        best[key] = labels[winner]
-    return best, ties
-
-
 def _nugap_model_order(best: dict) -> str:
-    """Consensus order for the gap stage: majority of naic/bic/mdl winners."""
-    counts: dict = {}
-    for v in (best["naic"], best["bic"], best["mdl"]):
-        counts[v] = counts.get(v, 0) + 1
-    top = max(counts.values())
-    return min(label for label, c in counts.items() if c == top)
+    """Consensus order for the gap stage: majority of the penalized criteria's winners."""
+    winners = [best[key] for key in PENALIZED]
+    top = max(map(winners.count, winners))
+    return min(label for label in winners if winners.count(label) == top)
 
 
 def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
@@ -273,29 +263,23 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         )
         row = {"order": label, "n_params": n_params}
         for name, ig, rep in (("y", ig_y, crit_y), ("u", ig_u, crit_u)):
-            row[name] = {
-                "l_trivial": ig.l_trivial,
-                "l_model": ig.l_model,
-                "gain": ig.gain,
-                "explanation_degree": ig.explanation_degree,
-                "naic": _num(rep.naic),
-                "bic": _num(rep.bic),
-                "mdl": rep.mdl,
-                "loss": rep.loss,
-                "zero_loss": rep.zero_loss,
-            }
+            row[name] = {**asdict(ig), "gain": ig.gain, "explanation_degree": ig.explanation_degree,
+                         **asdict(rep), "naic": _num(rep.naic), "bic": _num(rep.bic)}
         # a model scores the sum of its two channels' scores, y + u: summed here only
-        ig_total = ig_y.gain + ig_u.gain
-        naic_total = crit_y.naic + crit_u.naic
-        bic_total = crit_y.bic + crit_u.bic
-        mdl_total = crit_y.mdl + crit_u.mdl
-        row.update(ig_total=ig_total, naic_total=_num(naic_total),
-                   bic_total=_num(bic_total), mdl_total=mdl_total)
+        row["ig_total"] = ig_y.gain + ig_u.gain
+        scores["information_gain"].append(-row["ig_total"])
+        for key in PENALIZED:
+            total = getattr(crit_y, key) + getattr(crit_u, key)
+            # a non-finite MDL is a bug, which write_report refuses, so it is not nulled
+            row[f"{key}_total"] = total if key == "mdl" else _num(total)
+            scores[key].append(total)
         rows.append(row)
-        for key, score in zip(CRITERION_KEYS, (-ig_total, naic_total, bic_total, mdl_total)):
-            scores[key].append(score)
 
-    best, ties = _best_orders([row["order"] for row in rows], scores)
+    best: dict = {}
+    ties: dict = {}
+    for key, values in scores.items():
+        winner, ties[key] = argmin_cumulative(values)  # an exact tie goes to the lowest index
+        best[key] = rows[winner]["order"]
     order_for_gap = _nugap_model_order(best)
     report = {
         "label": dataset.label,
@@ -363,25 +347,15 @@ def report_csv_text(report: dict) -> str:
     """Flatten a report into the tabular per-(setpoint, order) CSV."""
     lines = [_REPORT_CSV_COLUMNS]
     for ds in report["datasets"]:
-        best = ds["best"]
         for row in ds["orders"]:
-            y, u = row["y"], row["u"]
-            cells = [
-                ds["label"],
-                row["order"],
-                _fmt(row["n_params"]),
-                _fmt(y["l_trivial"]), _fmt(y["l_model"]), _fmt(y["gain"]),
-                _fmt(u["l_trivial"]), _fmt(u["l_model"]), _fmt(u["gain"]),
-                _fmt(row["ig_total"]),
-                _fmt(y["naic"]), _fmt(u["naic"]), _fmt(row["naic_total"]),
-                _fmt(y["bic"]), _fmt(u["bic"]), _fmt(row["bic_total"]),
-                _fmt(y["mdl"]), _fmt(u["mdl"]), _fmt(row["mdl_total"]),
-                _fmt(best["information_gain"] == row["order"]),
-                _fmt(best["naic"] == row["order"]),
-                _fmt(best["bic"] == row["order"]),
-                _fmt(best["mdl"] == row["order"]),
-            ]
-            lines.append(",".join(cells))
+            channels = (row["y"], row["u"])
+            cells = [row["n_params"]]
+            cells += [ch[field] for ch in channels for field in ("l_trivial", "l_model", "gain")]
+            cells.append(row["ig_total"])
+            for key in PENALIZED:
+                cells += [*(ch[key] for ch in channels), row[f"{key}_total"]]
+            cells += [ds["best"][key] == row["order"] for key in CRITERION_KEYS]
+            lines.append(",".join([ds["label"], row["order"], *map(_fmt, cells)]))
     return "\n".join(lines) + "\n"
 
 

@@ -102,9 +102,11 @@ class SimConfig:
     def __post_init__(self):
         if self.sample_time <= 0.0:
             raise ValueError("sample_time must be > 0")
-        if self.duration / self.sample_time < MIN_SAMPLES:
+        n = self.duration / self.sample_time
+        n = round(n) if math.isfinite(n) else n  # n_samples, the count a run simulates
+        if n < MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples (duration/sample_time)")
-        if self.duration / self.sample_time > MAX_SAMPLES:
+        if n > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} samples (duration/sample_time)")
         if self.ode_substeps < 1:
             raise ValueError("ode_substeps must be >= 1")
@@ -173,9 +175,9 @@ def simulate_closed_loop(
     then sets the horizon).  Integration is fixed-step explicit Euler with
     ``ode_substeps`` substeps per control period; a step the integrator is
     unstable at raises SimulationDivergedError before the run, as a state
-    that becomes non-finite does during it.  The recorded temperature
-    carries the configured sensor noise and quantization; the controller
-    acts on the same corrupted measurement.
+    that becomes non-finite or a reading that overflows does during it.  The
+    recorded temperature carries the configured sensor noise and
+    quantization; the controller acts on the same corrupted measurement.
     """
     if reference is None:
         n = cfg.n_samples
@@ -218,10 +220,12 @@ def simulate_closed_loop(
     a, b = k_cond + g_surf, k_cond + g_sink
     mu = (0.5 * (a + b) + math.hypot(0.5 * (a - b), k_cond)) / c_heat
     if not dt_sub * mu < 2.0:
+        bound = dt * mu / 2.0  # overflows when mu is infinite or nearly so
         raise SimulationDivergedError(
             f"the Euler step of {dt_sub:g} s is unstable for these parameters: "
-            f"ode_substeps = {cfg.ode_substeps}, the smallest stable is "
-            f"{math.floor(dt * mu / 2.0) + 1}"
+            f"ode_substeps = {cfg.ode_substeps}, "
+            + (f"the smallest stable is {math.floor(bound) + 1}" if math.isfinite(bound)
+               else "no substep count below 1e308 is stable")
         )
 
     t_a = t_b = float(cfg.ambient)
@@ -235,7 +239,10 @@ def simulate_closed_loop(
         if noise is not None:
             y_meas += noise[k]
         if quant > 0.0:
-            y_meas = round(y_meas / quant) * quant
+            try:
+                y_meas = round(y_meas / quant) * quant
+            except OverflowError:
+                raise SimulationDivergedError(f"the reading at step {k} cannot be quantized") from None
 
         err = r_k - y_meas
         d_term = 0.0 if (prev_err is None or kd == 0.0) else kd * (err - prev_err) / dt
@@ -283,6 +290,8 @@ def simulate_closed_loop(
         if not (math.isfinite(t_a) and math.isfinite(t_b)):
             raise SimulationDivergedError(f"simulation state became non-finite at step {k}")
 
+    if noise is not None and not np.isfinite(y_trace).all():
+        raise SimulationDivergedError("the sensor noise made a reading overflow")
     t = np.arange(n) * dt
     return TimeSeriesDataset(t, ref, u_trace, y_trace, label=cfg.label)
 

@@ -601,6 +601,28 @@ class TestDiscriminateCommand:
         assert header[:3] == ["setpoint", "order", "n_params"]
         assert len(csv_text.splitlines()) == 1 + 2 * 2
 
+    def test_report_csv_rows_fill_the_header_and_flag_the_best_orders(
+        self, tmp_path, campaign_files
+    ):
+        out = tmp_path / "report"
+        assert cli.main(["discriminate", *campaign_files, "--out", str(out),
+                         "--orders", "22221,33331"]) == 0
+        report = read_report(tmp_path / "report.json")
+        columns = cli._REPORT_CSV_COLUMNS.split(",")
+        header, *rows = (line.split(",") for line in
+                         (tmp_path / "report.csv").read_text().splitlines())
+        assert header == columns
+        assert len(rows) == 2 * len(report["datasets"]) == 4
+        best = {ds["label"]: ds["best"] for ds in report["datasets"]}
+        flags = {"best_ig": "information_gain", "best_naic": "naic",
+                 "best_bic": "bic", "best_mdl": "mdl"}
+        for row in rows:
+            assert len(row) == len(columns)
+            cells = dict(zip(columns, row))
+            for column, key in flags.items():
+                is_best = best[cells["setpoint"]][key] == cells["order"]
+                assert cells[column] == ("1" if is_best else "")
+
     def test_shipped_report_sums_each_orders_channels(self, tmp_path):
         # a model scores y + u exactly; a criterion at -inf on either channel is null
         configs = Path(__file__).resolve().parent.parent / "configs"
@@ -1230,6 +1252,20 @@ class TestMatchCommand:
         assert "dataset has 30 samples, matching needs at least 50" in err
         assert "duration" not in err
         assert not out.exists()
+
+    def test_fifty_samples_at_an_inexact_step_pass_the_input_phase(self, tmp_path, capsys):
+        # without --config the twin's horizon is 50 * 0.17 s, whose ratio to 0.17 s is
+        # just short of 50 in floating point
+        from twindisc.twin import SensorConfig, SimConfig, simulate_closed_loop
+
+        truth = PeltierParams(alpha=0.0211, r_ohm=3.3, k_cond=0.286, c_heat=11.1)
+        cfg = SimConfig(setpoint=70.0, duration=51 * 0.17, sample_time=0.17, sensor=SensorConfig())
+        ds = simulate_closed_loop(truth, cfg)
+        path = tmp_path / "fifty.csv"
+        write_csv(TimeSeriesDataset(ds.t[:50], ds.r[:50], ds.u[:50], ds.y[:50]), path)
+        out = tmp_path / "m.json"
+        code = cli.main(["match", str(path), "--initial", "datasheet", "--out", str(out)])
+        assert code != 2, capsys.readouterr().err
 
     def test_infinite_sse_is_computational_error(self, tmp_path, capsys):
         # finite samples whose squared errors overflow a float

@@ -196,6 +196,44 @@ def workdir():
         yield Path(tmp)
 
 
+def _numeric_keys(text) -> list:
+    """The keys of an INI text whose values are single numbers, in order."""
+    keys = {}
+    for line in text.splitlines():
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if sep and not key.startswith("#"):
+            with contextlib.suppress(ValueError):
+                float(value)
+                keys[key] = None
+    return list(keys)
+
+
+# a run's work scales with ode_substeps, so it stays as shipped
+EXTREME_CASES = [
+    (mutated, key, value)
+    for mutated, text in (("config", SIM_CONFIG), ("params", PARAMS))
+    for key in _numeric_keys(text) if key != "ode_substeps"
+    for value in ("1e308", "-1e308", "1e-310")
+]
+
+
+@pytest.mark.parametrize("mutated, key, value", EXTREME_CASES)
+def test_float_extremes_keep_the_contract(tmp_path, mutated, key, value):
+    """One key at a float extreme in every section; a run that fails writes nothing."""
+    files = {"config": tmp_path / "sim.ini", "params": tmp_path / "params.ini"}
+    files["config"].write_text(SIM_CONFIG)
+    files["params"].write_text(PARAMS)
+    text = SIM_CONFIG if mutated == "config" else PARAMS
+    lines = [f"{key} = {value}" if line.partition("=")[0].strip() == key else line
+             for line in text.splitlines()]
+    files[mutated].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = run(["simulate", "--config", files["config"], "--params", files["params"],
+                "--out-dir", out], tmp_path)
+    if code != 0:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", CSV_KINDS)
 @pytest.mark.parametrize("command", ["discriminate", "match"])
 def test_dataset_mutations_keep_the_contract(inputs, command, kind):

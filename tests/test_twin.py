@@ -179,6 +179,11 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES} samples"):
             SimConfig(setpoint=50.0, duration=MAX_SAMPLES / 2 + 0.5, sample_time=0.5)
 
+    @pytest.mark.parametrize("ts", [0.17, 0.34, 1.37, 2.99, 5.19, 5.98])
+    def test_sample_floor_counts_the_samples_a_run_simulates(self, ts):
+        # (50 * ts) / ts falls just short of 50 at these steps; a run simulates its rounding
+        assert SimConfig(setpoint=30.0, duration=50 * ts, sample_time=ts).n_samples == 50
+
     def test_negative_sensor_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SensorConfig(noise_std=0.05, seed=-1)
