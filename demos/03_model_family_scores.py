@@ -28,7 +28,7 @@ print("identifying orders 22221..55551 on both channels (takes a moment) ...")
 family = identify_family(dataset)
 
 print(f"{'order':>6} {'IG(y)':>7} {'IG(u)':>7} {'IGT':>7} {'nAICT':>9} {'BICT':>11} {'mdlT':>9}")
-for label in sorted(family.models):
+for label in sorted({label for label, _ in family.fits}):
     fit_y, fit_u = family.fits[(label, "y")], family.fits[(label, "u")]
     # every score is a function of the fits' own free-run residuals
     residuals = (fit_y.sim_residuals, fit_u.sim_residuals)

@@ -8,10 +8,9 @@ others is the nominal one: a controller designed against it degrades least
 across the whole family.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
+from twindisc.lti import SimoModel
 from twindisc.nugap import select_nominal
 from twindisc.sysid import identify_family
 from twindisc.twin import PeltierParams, SensorConfig, SimConfig, generate_campaign
@@ -27,11 +26,12 @@ base = SimConfig(setpoint=30.0, duration=400.0, sensor=SensorConfig(noise_std=0.
 datasets = generate_campaign(MATCHED, base, seed=0)
 
 print("identifying one order-2 SIMO model per setpoint ...")
-# each model is labelled by its dataset, so the matrix names the setpoints
-models = [
-    replace(identify_family(ds, order_labels=("22221",)).models["22221"], label=ds.label)
-    for ds in datasets
-]
+models = []
+for ds in datasets:
+    fits = identify_family(ds, order_labels=("22221",)).fits
+    tf_y, tf_u = (fits[("22221", ch)].model.deterministic_tf for ch in ("y", "u"))
+    # each model is labelled by its dataset, so the matrix names the setpoints
+    models.append(SimoModel(tf_y, tf_u, label=ds.label))
 
 matrix, winner, tie = select_nominal(models)
 

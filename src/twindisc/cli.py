@@ -16,7 +16,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -242,16 +242,15 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
 
     family = sysid.identify_family(dataset, opts.orders, opts.seed)
     errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in family.errors]
-    if not family.models:
-        # an order without a model had a channel fail, so errors is not empty
+    labels = [lbl for lbl in opts.orders if (lbl, "y") in family.fits and (lbl, "u") in family.fits]
+    if not labels:
+        # an order that lacks a fit had a channel fail, so errors is not empty
         raise lti.FitFailureError(f"no order was identified; first error: {errors[0]}")
 
     rows = []
     # lower is better for every criterion, so information gain enters negated
     scores = {key: [] for key in CRITERION_KEYS}
-    for label in opts.orders:
-        if label not in family.models:
-            continue
+    for label in labels:
         fit_y = family.fits[(label, "y")]
         fit_u = family.fits[(label, "u")]
         n_params = fit_y.model.n_params
@@ -291,7 +290,8 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         "nugap_model_order": order_for_gap,
         "errors": errors,
     }
-    return report, replace(family.models[order_for_gap], label=dataset.label)
+    tf_y, tf_u = (family.fits[(order_for_gap, ch)].model.deterministic_tf for ch in ("y", "u"))
+    return report, lti.SimoModel(tf_y, tf_u, label=dataset.label)
 
 
 def discriminate_datasets(

@@ -32,7 +32,6 @@ from .lti import (
     DiscreteTransferFunction,
     FitFailureError,
     OrderSpec,
-    SimoModel,
     coefficients,
 )
 
@@ -306,9 +305,8 @@ def one_step_residuals(model: BoxJenkinsModel, u, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FamilyResult:
-    """Identified SIMO family: models per order plus per-channel fit records."""
+    """Identified family: the fit of each (order label, channel), and the failures."""
 
-    models: dict
     fits: dict
     errors: tuple
 
@@ -329,13 +327,11 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
     channels = {"y": np.asarray(dataset.y, dtype=float), "u": np.asarray(dataset.u, dtype=float)}
     ts = dataset.sample_time
 
-    models: dict = {}
     fits: dict = {}
     errors: list = []
     prev: dict = {}  # channel -> (order, F tail) of its last successful fit
 
     for order in orders:
-        per_channel = {}
         for ch, signal_out in channels.items():
             warm = None
             if ch in prev:
@@ -355,12 +351,5 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
                 errors.append((order.label, ch, f"{type(exc).__name__}: {exc}"))
                 continue
             fits[(order.label, ch)] = fit
-            per_channel[ch] = fit
             prev[ch] = (order, fit.model.f[1:])
-        if "y" in per_channel and "u" in per_channel:
-            models[order.label] = SimoModel(
-                tf_y=per_channel["y"].model.deterministic_tf,
-                tf_u=per_channel["u"].model.deterministic_tf,
-                label=order.label,
-            )
-    return FamilyResult(models=models, fits=fits, errors=tuple(errors))
+    return FamilyResult(fits=fits, errors=tuple(errors))

@@ -77,9 +77,9 @@ class SensorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.quantization < 0.0 or self.noise_std < 0.0:
+        if not (self.quantization >= 0.0 and self.noise_std >= 0.0):  # NaN fails every bound
             raise ValueError("quantization and noise_std must be >= 0")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
 
 
@@ -100,19 +100,19 @@ class SimConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.sample_time <= 0.0:
+        if not self.sample_time > 0.0:  # NaN fails every bound
             raise ValueError("sample_time must be > 0")
         n = self.duration / self.sample_time
         n = round(n) if math.isfinite(n) else n  # n_samples, the count a run simulates
-        if n < MIN_SAMPLES:
+        if not n >= MIN_SAMPLES:
             raise ValueError(f"need at least {MIN_SAMPLES} samples (duration/sample_time)")
         if n > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} samples (duration/sample_time)")
-        if self.ode_substeps < 1:
+        if not self.ode_substeps >= 1:
             raise ValueError("ode_substeps must be >= 1")
-        if self.supply_voltage <= 0.0:
+        if not self.supply_voltage > 0.0:
             raise ValueError("supply_voltage must be > 0")
-        if self.heatsink_conductance < 0.0 or self.surface_conductance < 0.0:
+        if not (self.heatsink_conductance >= 0.0 and self.surface_conductance >= 0.0):
             raise ValueError("conductances must be >= 0")
 
     @property
@@ -221,11 +221,12 @@ def simulate_closed_loop(
     mu = (0.5 * (a + b) + math.hypot(0.5 * (a - b), k_cond)) / c_heat
     if not dt_sub * mu < 2.0:
         bound = dt * mu / 2.0  # overflows when mu is infinite or nearly so
+        least = math.floor(bound) + 1 if math.isfinite(bound) else None
         raise SimulationDivergedError(
             f"the Euler step of {dt_sub:g} s is unstable for these parameters: "
             f"ode_substeps = {cfg.ode_substeps}, "
-            + (f"the smallest stable is {math.floor(bound) + 1}" if math.isfinite(bound)
-               else "no substep count below 1e308 is stable")
+            + ("no substep count below 1e308 is stable" if least is None else
+               f"the smallest stable is {least if least <= 10**6 else format(least, '.3g')}")
         )
 
     t_a = t_b = float(cfg.ambient)

@@ -3,7 +3,9 @@
 The pinned output digests hold only on the kernels they were recorded
 with, so the first lines of a run say which float64 exp/log dispatch
 target and which OpenBLAS build it ran on, and the variables that steer
-them.
+them.  They also say what fork and BLAS timing turn on: the CPUs the run
+may use and the OS threads the process runs once numpy is loaded (Python
+3.12 and later warn when a multi-threaded process forks).
 """
 
 import os
@@ -22,13 +24,24 @@ def _exp_log_targets() -> str:
     )
 
 
+def _cpus() -> str:
+    return str(len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else "unknown"
+
+
+def _threads() -> str:
+    tasks = "/proc/self/task"
+    return str(len(os.listdir(tasks))) if os.path.isdir(tasks) else "unknown"
+
+
 def pytest_report_header(config):
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     env = ", ".join(
         f"{name}={os.environ.get(name, '')}"
-        for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+        for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "OPENBLAS_NUM_THREADS")
     )
-    return (
+    return [
         f"numeric kernels: float64 {_exp_log_targets()}; "
-        f"{blas.get('openblas configuration', 'OpenBLAS configuration unknown')}; {env}"
-    )
+        f"{blas.get('openblas configuration', 'OpenBLAS configuration unknown')}; {env}",
+        f"processes: {_cpus()} CPUs in the affinity mask; "
+        f"{_threads()} OS threads after import numpy",
+    ]

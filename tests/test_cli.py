@@ -14,7 +14,6 @@ import pytest
 import scipy.signal
 
 from twindisc import cli, configio, criteria, sysid
-from twindisc.lti import DiscreteTransferFunction
 from twindisc.twin import PeltierParams, TimeSeriesDataset, read_csv, write_csv
 
 from helpers import read_report, validate_report
@@ -664,9 +663,10 @@ class TestDiscriminateCommand:
             family = identify(dataset, orders, seed)
             if dataset.label != "set_1":
                 return family
-            model = family.models["22221"]
-            integrator = DiscreteTransferFunction([0.0, 1.0], [1.0, -1.0], model.sample_time)
-            return replace(family, models={"22221": replace(model, tf_y=integrator)})
+            fit = family.fits[("22221", "y")]
+            integrator = replace(fit.model, f=[1.0, -1.0])
+            fits = {**family.fits, ("22221", "y"): replace(fit, model=integrator)}
+            return replace(family, fits=fits)
 
         monkeypatch.setattr(sysid, "identify_family", integrator_on_set_1)
         report = cli.discriminate_datasets(
@@ -676,6 +676,30 @@ class TestDiscriminateCommand:
         assert report["nugap_note"].startswith(
             "nu-gap selection failed: model 'set_1' has a pole within"
         )
+
+    def test_order_with_one_failed_channel_is_not_scored(
+        self, tmp_path, campaign_files, monkeypatch
+    ):
+        # 33331's y fit succeeds and its u fit fails: only 22221 has both channels
+        controls = [read_csv(path).u for path in campaign_files]
+        fit = sysid.fit_output_error
+
+        def u_of_33331_fails(input, output, order, seed=0, warm_start=None):
+            if order.label == "33331" and any(np.array_equal(output, u) for u in controls):
+                raise sysid.FitFailureError("injected")
+            return fit(input, output, order, seed, warm_start)
+
+        monkeypatch.setattr(sysid, "fit_output_error", u_of_33331_fails)
+        out = tmp_path / "report"
+        assert cli.main(["discriminate", *campaign_files, "--out", str(out),
+                         "--orders", "22221,33331"]) == 0
+        report = read_report(tmp_path / "report.json")
+        for ds in report["datasets"]:
+            assert [row["order"] for row in ds["orders"]] == ["22221"]
+            assert any(err.startswith("order 33331 channel u: ") for err in ds["errors"])
+            assert set(ds["best"].values()) == {"22221"}
+            assert ds["nugap_model_order"] == "22221"
+        assert report["nugap"] is not None
 
     def test_unlabelled_datasets_give_empty_nugap_labels(self, campaign_files):
         # a library caller's datasets need no label; none is made up for them

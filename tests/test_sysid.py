@@ -255,7 +255,9 @@ class TestIdentifyFamily:
     def test_full_family_on_twin_data(self):
         dataset = self._twin_dataset()
         family = identify_family(dataset)
-        assert sorted(family.models) == ["22221", "33331", "44441", "55551"]
+        assert sorted(family.fits) == [
+            (label, ch) for label in ("22221", "33331", "44441", "55551") for ch in ("u", "y")
+        ]
         assert not family.errors
         for (label, channel), fit in family.fits.items():
             assert np.max(pole_magnitudes(fit.model.f)) < 1.0 + 1e-9
@@ -268,7 +270,7 @@ class TestIdentifyFamily:
         family = identify_family(dataset)
         trivial_y = float(np.sum((dataset.y - dataset.y.mean()) ** 2))
         trivial_u = float(np.sum((dataset.u - dataset.u.mean()) ** 2))
-        for label in family.models:
+        for label in {label for label, _ in family.fits}:
             assert np.sum(family.fits[(label, "y")].sim_residuals ** 2) <= trivial_y
             assert np.sum(family.fits[(label, "u")].sim_residuals ** 2) <= trivial_u
 
@@ -282,7 +284,7 @@ class TestIdentifyFamily:
         # the one-sample input delay makes y(0) unmatchable from r; the rest
         # of the record is reproduced exactly by a static-gain model
         assert np.allclose(fit.sim_residuals[1:], 0.0, atol=1e-6)
-        tf = family.models["22221"].tf_y
+        tf = family.fits[("22221", "y")].model.deterministic_tf
         gain = frequency_response(tf, [0.0])[0]
         assert abs(gain - 1.0) < 1e-6
 

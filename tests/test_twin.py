@@ -159,6 +159,22 @@ class TestClosedLoop:
             simulate_closed_loop(p, replace(cfg, ode_substeps=stable - 1))
         assert len(simulate_closed_loop(p, replace(cfg, ode_substeps=stable))) == 50
 
+    def test_euler_message_rounds_a_count_beyond_a_million(self):
+        # a count no run could take is printed to 3 digits, not as 309 of them
+        p = replace(params_for(70.0), k_cond=4e307)
+        with pytest.raises(twin.SimulationDivergedError) as info:
+            simulate_closed_loop(p, clean_cfg(70.0))
+        message = str(info.value)
+        assert len(message) <= 200 and "\n" not in message
+        assert message.endswith("ode_substeps = 10, the smallest stable is 3.6e+306")
+        # a count up to a million is printed exactly, a larger one to 3 digits
+        p = replace(params_for(70.0), k_cond=1.0)
+        for ts, count in ((7e6, "949151"), (1e7, "1.36e+06")):
+            cfg = clean_cfg(70.0, duration=50 * ts, sample_time=ts, ode_substeps=1)
+            with pytest.raises(twin.SimulationDivergedError) as info:
+                simulate_closed_loop(p, cfg)
+            assert str(info.value).endswith(f"the smallest stable is {count}")
+
     def test_state_that_overflows_at_a_stable_step_diverges(self):
         # the Seebeck heat of an absurd alpha overflows in the first sample
         p = PeltierParams(alpha=1e300, r_ohm=3.3, k_cond=0.3, c_heat=15.0)
@@ -183,6 +199,22 @@ class TestClosedLoop:
     def test_sample_floor_counts_the_samples_a_run_simulates(self, ts):
         # (50 * ts) / ts falls just short of 50 at these steps; a run simulates its rounding
         assert SimConfig(setpoint=30.0, duration=50 * ts, sample_time=ts).n_samples == 50
+
+    @pytest.mark.parametrize("config, field, message", [
+        (SimConfig, "duration", "need at least 50 samples"),
+        (SimConfig, "sample_time", "sample_time must be > 0"),
+        (SimConfig, "ode_substeps", "ode_substeps must be >= 1"),
+        (SimConfig, "supply_voltage", "supply_voltage must be > 0"),
+        (SimConfig, "heatsink_conductance", "conductances must be >= 0"),
+        (SimConfig, "surface_conductance", "conductances must be >= 0"),
+        (SensorConfig, "quantization", "quantization and noise_std must be >= 0"),
+        (SensorConfig, "noise_std", "quantization and noise_std must be >= 0"),
+        (SensorConfig, "seed", "seed must be >= 0"),
+    ])
+    def test_nan_fails_every_bound(self, config, field, message):
+        required = {"setpoint": 30.0} if config is SimConfig else {}
+        with pytest.raises(ValueError, match=message):
+            config(**required, **{field: float("nan")})
 
     def test_negative_sensor_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
