@@ -29,7 +29,7 @@ print("identifying one order-2 SIMO model per setpoint ...")
 models = []
 for ds in datasets:
     fits = identify_family(ds, order_labels=("22221",)).fits
-    tf_y, tf_u = (fits[("22221", ch)].model.deterministic_tf for ch in ("y", "u"))
+    tf_y, tf_u = (fits[("22221", ch)].model.deterministic_tf(ds.sample_time) for ch in ("y", "u"))
     # each model is labelled by its dataset, so the matrix names the setpoints
     models.append(SimoModel(tf_y, tf_u, label=ds.label))
 

@@ -290,7 +290,8 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         "nugap_model_order": order_for_gap,
         "errors": errors,
     }
-    tf_y, tf_u = (family.fits[(order_for_gap, ch)].model.deterministic_tf for ch in ("y", "u"))
+    ts = dataset.sample_time
+    tf_y, tf_u = (family.fits[(order_for_gap, ch)].model.deterministic_tf(ts) for ch in ("y", "u"))
     return report, lti.SimoModel(tf_y, tf_u, label=dataset.label)
 
 

@@ -72,14 +72,13 @@ def _coerce_order(order) -> OrderSpec:
 
 @dataclass(frozen=True, eq=False)
 class BoxJenkinsModel:
-    """y = (B/F) u + (C/D) e with monic C, D, F and nk leading zeros in B."""
+    """y = (B/F) u + (C/D) e in samples: monic C, D, F and nk leading zeros in B."""
 
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
     f: np.ndarray
     delay: int
-    sample_time: float
 
     def __post_init__(self):
         for name in ("b", "c", "d", "f"):
@@ -93,8 +92,6 @@ class BoxJenkinsModel:
             raise ValueError("b must have coefficients beyond the delay zeros")
         if np.any(self.b[: self.delay] != 0.0):
             raise ValueError(f"b must start with {self.delay} zero coefficients")
-        if self.sample_time <= 0.0:
-            raise ValueError("sample_time must be > 0")
 
     @property
     def n_params(self) -> int:
@@ -106,9 +103,8 @@ class BoxJenkinsModel:
             + (self.f.size - 1)
         )
 
-    @property
-    def deterministic_tf(self) -> DiscreteTransferFunction:
-        return DiscreteTransferFunction(self.b, self.f, self.sample_time)
+    def deterministic_tf(self, sample_time: float) -> DiscreteTransferFunction:
+        return DiscreteTransferFunction(self.b, self.f, sample_time)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +202,6 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     initializer, plus ``warm_start`` (F's tail ``[f_1, .., f_nf]``) when
     given, and returns the best iterate even when not converged.  C and D
     come back as identity; see :func:`fit_noise_model` for the noise half.
-    Raw sequences carry no time base, so the returned model is stamped with
-    a unit sample time (:func:`identify_family` restamps it from the dataset).
     """
     order = _coerce_order(order)
     u = np.asarray(input, dtype=float).ravel()
@@ -249,7 +243,7 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     phi = _delayed(lfilter([1.0], f, u), order.nk, order.nb)
     b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
     residuals = y - lfilter(b, f, u)
-    model = BoxJenkinsModel(b=b, c=[1.0], d=[1.0], f=f, delay=order.nk, sample_time=1.0)
+    model = BoxJenkinsModel(b=b, c=[1.0], d=[1.0], f=f, delay=order.nk)
     return FitResult(
         model=model,
         sim_residuals=residuals,
@@ -325,7 +319,6 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
     )
     r = np.asarray(dataset.r, dtype=float)
     channels = {"y": np.asarray(dataset.y, dtype=float), "u": np.asarray(dataset.u, dtype=float)}
-    ts = dataset.sample_time
 
     fits: dict = {}
     errors: list = []
@@ -341,7 +334,7 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
             try:
                 fit = fit_output_error(r, signal_out, order, seed, warm)
                 c, d = fit_noise_model(fit.sim_residuals, order.nc, order.nd)
-                model = replace(fit.model, c=c, d=d, sample_time=ts)
+                model = replace(fit.model, c=c, d=d)
                 fit = replace(
                     fit,
                     model=model,

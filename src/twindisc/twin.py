@@ -46,8 +46,8 @@ class PeltierParams:
 
     def __post_init__(self):
         for name in ("alpha", "r_ohm", "k_cond", "c_heat"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails every bound
+                raise ValueError(f"{name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,10 @@ class PidConfig:
     anti_windup: str = "conditional"  # or "none"
 
     def __post_init__(self):
-        if not (self.out_min < self.out_max):
-            raise ValueError("output range must be ordered (out_min < out_max)")
+        if not -math.inf < self.out_min < self.out_max < math.inf:
+            raise ValueError("output range must be ordered and finite (out_min < out_max)")
+        if not (math.isfinite(self.kp) and math.isfinite(self.ki) and math.isfinite(self.kd)):
+            raise ValueError("kp, ki and kd must be finite")
         if self.anti_windup not in ("conditional", "none"):
             raise ValueError("anti_windup must be 'conditional' or 'none'")
 
@@ -77,10 +79,10 @@ class SensorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.quantization >= 0.0 and self.noise_std >= 0.0):  # NaN fails every bound
-            raise ValueError("quantization and noise_std must be >= 0")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+        if not (0.0 <= self.quantization < math.inf and 0.0 <= self.noise_std < math.inf):
+            raise ValueError("quantization and noise_std must be >= 0 and finite")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be >= 0 and an integer")
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,15 @@ class SimConfig:
             raise ValueError(f"need at least {MIN_SAMPLES} samples (duration/sample_time)")
         if n > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} samples (duration/sample_time)")
-        if not self.ode_substeps >= 1:
-            raise ValueError("ode_substeps must be >= 1")
-        if not self.supply_voltage > 0.0:
-            raise ValueError("supply_voltage must be > 0")
-        if not (self.heatsink_conductance >= 0.0 and self.surface_conductance >= 0.0):
-            raise ValueError("conductances must be >= 0")
+        if not (isinstance(self.ode_substeps, (int, np.integer)) and self.ode_substeps >= 1):
+            raise ValueError("ode_substeps must be >= 1 and an integer")
+        if not 0.0 < self.supply_voltage < math.inf:
+            raise ValueError("supply_voltage must be > 0 and finite")
+        if not (0.0 <= self.heatsink_conductance < math.inf
+                and 0.0 <= self.surface_conductance < math.inf):
+            raise ValueError("conductances must be >= 0 and finite")
+        if not (math.isfinite(self.setpoint) and math.isfinite(self.ambient)):
+            raise ValueError("setpoint and ambient must be finite")
 
     @property
     def n_samples(self) -> int:

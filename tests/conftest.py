@@ -5,10 +5,15 @@ with, so the first lines of a run say which float64 exp/log dispatch
 target and which OpenBLAS build it ran on, and the variables that steer
 them.  They also say what fork and BLAS timing turn on: the CPUs the run
 may use and the OS threads the process runs once numpy is loaded (Python
-3.12 and later warn when a multi-threaded process forks).
+3.12 and later warn when a multi-threaded process forks).  A last line
+gives what a start-up timing charges: the lines of every ``*.py`` under
+``src/``, which perfbench counts as ``src_lines``, and
+``PYTHONDONTWRITEBYTECODE``, under which a fresh ``import twindisc.cli``
+compiles every line it loads.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +38,11 @@ def _threads() -> str:
     return str(len(os.listdir(tasks))) if os.path.isdir(tasks) else "unknown"
 
 
+def _src_lines() -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return str(sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.rglob("*.py")))
+
+
 def pytest_report_header(config):
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     env = ", ".join(
@@ -44,4 +54,6 @@ def pytest_report_header(config):
         f"{blas.get('openblas configuration', 'OpenBLAS configuration unknown')}; {env}",
         f"processes: {_cpus()} CPUs in the affinity mask; "
         f"{_threads()} OS threads after import numpy",
+        f"start-up: {_src_lines()} src/ lines; "
+        f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')}",
     ]

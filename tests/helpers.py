@@ -48,11 +48,9 @@ def static_gain_model(gain, sample_time=1.0):
     return DiscreteTransferFunction([float(gain)], [1.0], sample_time)
 
 
-def bj_from_rows(rows, sample_time=1.0, delay=1):
+def bj_from_rows(rows, delay=1):
     """Build a BoxJenkinsModel from raw coefficient rows {b, c, d, f}."""
-    return BoxJenkinsModel(
-        b=rows["b"], c=rows["c"], d=rows["d"], f=rows["f"], delay=delay, sample_time=sample_time
-    )
+    return BoxJenkinsModel(b=rows["b"], c=rows["c"], d=rows["d"], f=rows["f"], delay=delay)
 
 
 def pole_magnitudes(coeffs) -> np.ndarray:

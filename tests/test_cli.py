@@ -14,9 +14,17 @@ import pytest
 import scipy.signal
 
 from twindisc import cli, configio, criteria, sysid
-from twindisc.twin import PeltierParams, TimeSeriesDataset, read_csv, write_csv
+from twindisc.twin import (
+    PeltierParams,
+    SensorConfig,
+    SimConfig,
+    TimeSeriesDataset,
+    generate_campaign,
+    read_csv,
+    write_csv,
+)
 
-from helpers import read_report, validate_report
+from helpers import MATCHED_SETS, read_report, validate_report
 
 CONFIG = """\
 [simulation]
@@ -676,6 +684,36 @@ class TestDiscriminateCommand:
         assert report["nugap_note"].startswith(
             "nu-gap selection failed: model 'set_1' has a pole within"
         )
+
+    def test_nugap_pair_at_different_sample_times_fails_with_a_note(self, campaign_files):
+        # each gap model carries its own dataset's sample time, so the pair is refused
+        one_s, other = (read_csv(path) for path in campaign_files)
+        half_s = TimeSeriesDataset(0.5 * other.t, other.r, other.u, other.y, label=other.label)
+        report = cli.discriminate_datasets(
+            [one_s, half_s], cli.DiscriminateOptions(orders=("22221",))
+        )
+        validate_report(report)
+        assert [ds["sample_time"] for ds in report["datasets"]] == [1.0, 0.5]
+        note = "nu-gap selection failed: models must share a sample time (1.0 != 0.5)"
+        assert report["nugap"] is None
+        assert report["nugap_note"] == note
+        assert report["errors"] == [note]
+
+    def test_nugap_pair_at_a_shared_half_second_is_selected(self):
+        params = {
+            sp: PeltierParams(alpha=a, r_ohm=3.3, k_cond=k, c_heat=c)
+            for sp, (a, k, c) in MATCHED_SETS.items() if sp in (50.0, 70.0)
+        }
+        base = SimConfig(
+            setpoint=50.0, duration=300.0, sample_time=0.5, sensor=SensorConfig(noise_std=0.05)
+        )
+        datasets = list(generate_campaign(params, base, seed=0))
+        report = cli.discriminate_datasets(datasets, cli.DiscriminateOptions(orders=("22221",)))
+        validate_report(report)
+        assert [ds["sample_time"] for ds in report["datasets"]] == [0.5, 0.5]
+        assert report["nugap"] is not None
+        assert report["nugap"]["labels"] == [ds.label for ds in datasets]
+        assert report["errors"] == []
 
     def test_order_with_one_failed_channel_is_not_scored(
         self, tmp_path, campaign_files, monkeypatch

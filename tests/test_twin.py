@@ -220,6 +220,40 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SensorConfig(noise_std=0.05, seed=-1)
 
+    # duration and sample_time are left out: a non-finite one already fails
+    # the sample-count bounds
+    @pytest.mark.parametrize("config, field, value, message", [
+        (PeltierParams, "alpha", np.inf, "alpha must be strictly positive and finite"),
+        (PeltierParams, "r_ohm", np.inf, "r_ohm must be strictly positive and finite"),
+        (PeltierParams, "k_cond", np.inf, "k_cond must be strictly positive and finite"),
+        (PeltierParams, "c_heat", np.inf, "c_heat must be strictly positive and finite"),
+        (PidConfig, "kp", np.nan, "kp, ki and kd must be finite"),
+        (PidConfig, "ki", np.inf, "kp, ki and kd must be finite"),
+        (PidConfig, "kd", -np.inf, "kp, ki and kd must be finite"),
+        (PidConfig, "out_min", -np.inf, "output range must be ordered and finite"),
+        (PidConfig, "out_max", np.inf, "output range must be ordered and finite"),
+        (SensorConfig, "quantization", np.inf, "quantization and noise_std must be >= 0 and finite"),
+        (SensorConfig, "noise_std", np.inf, "quantization and noise_std must be >= 0 and finite"),
+        (SensorConfig, "seed", 1.5, "seed must be >= 0 and an integer"),
+        (SimConfig, "setpoint", np.nan, "setpoint and ambient must be finite"),
+        (SimConfig, "ambient", np.nan, "setpoint and ambient must be finite"),
+        (SimConfig, "ode_substeps", 2.5, "ode_substeps must be >= 1 and an integer"),
+        (SimConfig, "supply_voltage", np.inf, "supply_voltage must be > 0 and finite"),
+        (SimConfig, "heatsink_conductance", np.inf, "conductances must be >= 0 and finite"),
+        (SimConfig, "surface_conductance", np.inf, "conductances must be >= 0 and finite"),
+    ])
+    def test_every_field_must_be_runnable_when_built(self, config, field, value, message):
+        required = {
+            PeltierParams: {"alpha": 0.02, "r_ohm": 3.3, "k_cond": 0.3, "c_heat": 11.0},
+            SimConfig: {"setpoint": 30.0},
+        }.get(config, {})
+        with pytest.raises(ValueError, match=message):
+            config(**{**required, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = SimConfig(setpoint=30.0, ode_substeps=np.int64(10), sensor=SensorConfig(seed=np.int64(3)))
+        assert (cfg.ode_substeps, cfg.sensor.seed) == (10, 3)
+
 
 # SHA-256 of u.tobytes() + y.tobytes() per case, recorded from the
 # numpy-scalar loop: the closed loop must keep its arithmetic and its
