@@ -49,6 +49,8 @@ class DiscriminateOptions:
 
     def __post_init__(self):
         # checked here so that a bad value fails before any identification
+        if not self.orders:
+            raise ValueError("at least one order is needed")
         for label in self.orders:
             lti.OrderSpec.from_label(label)
             if self.orders.count(label) > 1:
@@ -234,15 +236,26 @@ def _nugap_model_order(best: dict) -> str:
 def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
     """Identify the model family on one dataset and score every order.
 
-    Every order is scored from its fits' own residuals.  Returns the dataset's
-    report and its consensus model labelled by the dataset.  Raises
-    FitFailureError when no order could be identified.
+    Orders are scored from their fits' residuals, under ``pred`` the penalized
+    criteria from one-step errors.  Returns the report and the consensus model
+    labelled by the dataset.  Raises FitFailureError if no order is identified.
     """
     from . import sysid  # scipy loads here, so match and simulate never load it
 
     family = sysid.identify_family(dataset, opts.orders, opts.seed)
-    errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in family.errors]
-    labels = [lbl for lbl in opts.orders if (lbl, "y") in family.fits and (lbl, "u") in family.fits]
+    failures = list(family.errors)
+    scored = {key: fit.sim_residuals for key, fit in family.fits.items()}  # what nAIC/BIC/MDL read
+    if opts.residual_source == "pred":
+        for (lbl, ch), fit in family.fits.items():
+            try:
+                scored[lbl, ch] = sysid.innovations(fit, dataset.r, getattr(dataset, ch))
+            except ValueError as exc:  # a noise model that cannot be fitted drops its order
+                del scored[lbl, ch]
+                failures.append((lbl, ch, f"{type(exc).__name__}: {exc}"))
+        rank = [spec.label for spec in sysid.fitting_order(opts.orders)]
+        failures.sort(key=lambda e: (rank.index(e[0]), e[1] == "u"))  # in the order of the fits
+    errors = [f"order {lbl} channel {ch}: {msg}" for lbl, ch, msg in failures]
+    labels = [lbl for lbl in opts.orders if (lbl, "y") in scored and (lbl, "u") in scored]
     if not labels:
         # an order that lacks a fit had a channel fail, so errors is not empty
         raise lti.FitFailureError(f"no order was identified; first error: {errors[0]}")
@@ -251,15 +264,10 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
     # lower is better for every criterion, so information gain enters negated
     scores = {key: [] for key in CRITERION_KEYS}
     for label in labels:
-        fit_y = family.fits[(label, "y")]
-        fit_u = family.fits[(label, "u")]
-        n_params = fit_y.model.n_params
-        sim = (fit_y.sim_residuals, fit_u.sim_residuals)
-        pred = (fit_y.pred_residuals, fit_u.pred_residuals)
+        n_params = family.fits[label, "y"].model.n_params
+        sim = tuple(family.fits[label, ch].sim_residuals for ch in ("y", "u"))
         ig_y, ig_u = coding.simo_information_gain(dataset, sim, opts.precision)
-        crit_y, crit_u = criteria.simo_criteria(
-            sim if opts.residual_source == "sim" else pred, n_params
-        )
+        crit_y, crit_u = criteria.simo_criteria((scored[label, "y"], scored[label, "u"]), n_params)
         row = {"order": label, "n_params": n_params}
         for name, ig, rep in (("y", ig_y, crit_y), ("u", ig_u, crit_u)):
             row[name] = {**asdict(ig), "gain": ig.gain, "explanation_degree": ig.explanation_degree,

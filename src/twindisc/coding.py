@@ -62,12 +62,12 @@ def encode_number(n: float, precision: int = DEFAULT_PRECISION) -> str:
     n = float(n)
     if not math.isfinite(n):
         raise ValueError(f"cannot encode non-finite value {n!r}")
-    magnitude = math.floor(abs(n) * 10**precision + 0.5)
+    magnitude = abs(n) * 10**precision + 0.5  # inf when n is too large to scale
     if magnitude >= 2**63:
         raise ValueError(f"value {n!r} overflows the 63-bit token range")
-    if magnitude == 0:
+    if magnitude < 1.0:
         return "0"
-    return ("-" if n < 0.0 else "+") + str(magnitude)
+    return ("-" if n < 0.0 else "+") + str(math.floor(magnitude))
 
 
 def table_length(values, precision: int = DEFAULT_PRECISION) -> int:

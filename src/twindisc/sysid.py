@@ -8,9 +8,9 @@ Kaufman's Jacobian (variable projection: Golub & Pereyra, SIAM J. Numer.
 Anal. 10, 1973; Kaufman, BIT 15, 1975).  Steps that leave F unstable, by a
 Schur-Cohn step-down test, are rejected.  Each fit starts from a
 matching-order ARX estimate plus seeded perturbations.  The noise part C/D
-is then fitted on the simulation residuals in the Hannan-Rissanen style
-(long AR for innovations, then linear least squares).  Everything that
-scores models uses only B/F, so the two stages never need a joint search.
+is fitted only to score one-step prediction errors, on a fit's simulation
+residuals in the Hannan-Rissanen style (long AR for innovations, then linear
+least squares), so the two stages never need a joint search.
 
 This is the one module of the package that imports scipy (its BLAS and
 LAPACK wrappers), so only model fitting pays for loading it.  The import
@@ -96,12 +96,7 @@ class BoxJenkinsModel:
     @property
     def n_params(self) -> int:
         """Estimated coefficients: all of B, C, D, F minus fixed 1s and delay zeros."""
-        return (
-            (self.b.size - self.delay)
-            + (self.c.size - 1)
-            + (self.d.size - 1)
-            + (self.f.size - 1)
-        )
+        return self.b.size - self.delay + self.c.size + self.d.size + self.f.size - 3
 
     def deterministic_tf(self, sample_time: float) -> DiscreteTransferFunction:
         return DiscreteTransferFunction(self.b, self.f, sample_time)
@@ -111,16 +106,14 @@ class BoxJenkinsModel:
 class FitResult:
     model: BoxJenkinsModel
     sim_residuals: np.ndarray
-    pred_residuals: np.ndarray
     converged: bool
     iterations: int
     cost: float
 
     def __post_init__(self):
-        for name in ("sim_residuals", "pred_residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.sim_residuals, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "sim_residuals", arr)
 
 
 def _is_stable(monic) -> bool:
@@ -201,7 +194,7 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     each F (variable projection).  It is a seeded multistart around the ARX
     initializer, plus ``warm_start`` (F's tail ``[f_1, .., f_nf]``) when
     given, and returns the best iterate even when not converged.  C and D
-    come back as identity; see :func:`fit_noise_model` for the noise half.
+    come back as 1 with nc and nd zero taps; :func:`innovations` fits them.
     """
     order = _coerce_order(order)
     u = np.asarray(input, dtype=float).ravel()
@@ -243,11 +236,10 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     phi = _delayed(lfilter([1.0], f, u), order.nk, order.nb)
     b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
     residuals = y - lfilter(b, f, u)
-    model = BoxJenkinsModel(b=b, c=[1.0], d=[1.0], f=f, delay=order.nk)
+    c, d = (np.concatenate([[1.0], np.zeros(n)]) for n in (order.nc, order.nd))
     return FitResult(
-        model=model,
+        model=BoxJenkinsModel(b=b, c=c, d=d, f=f, delay=order.nk),
         sim_residuals=residuals,
-        pred_residuals=residuals.copy(),
         converged=reason in CONVERGED_REASONS,
         iterations=iterations,
         cost=float(residuals @ residuals),
@@ -297,6 +289,17 @@ def one_step_residuals(model: BoxJenkinsModel, u, y) -> np.ndarray:
     return lfilter(model.d, model.c, v)
 
 
+def innovations(fit: FitResult, u, y) -> np.ndarray:
+    """One-step prediction errors of ``fit`` with its C/D fitted to its residuals."""
+    c, d = fit_noise_model(fit.sim_residuals, fit.model.c.size - 1, fit.model.d.size - 1)
+    return one_step_residuals(replace(fit.model, c=c, d=d), u, y)
+
+
+def fitting_order(order_labels) -> list:
+    """The orders as :func:`identify_family` fits them: ascending nb + nf, then label."""
+    return sorted(map(_coerce_order, order_labels), key=lambda s: (s.nb + s.nf, s.label))
+
+
 @dataclass(frozen=True)
 class FamilyResult:
     """Identified family: the fit of each (order label, channel), and the failures."""
@@ -306,17 +309,13 @@ class FamilyResult:
 
 
 def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -> FamilyResult:
-    """Fit both channels (r -> y, r -> u) for every requested order.
+    """Fit the deterministic part B/F of both channels (r -> y, r -> u) for every order.
 
-    Orders are processed ascending and each fit warm-starts from the
-    previous order's zero-padded solution, which makes the best simulation
-    cost non-increasing with order.  Per-channel failures are recorded
-    without aborting the remaining orders.
+    Orders are processed in :func:`fitting_order` and each fit warm-starts
+    from the previous order's zero-padded solution, which makes the best
+    simulation cost non-increasing with order.  Per-channel failures are
+    recorded without aborting the remaining orders.
     """
-    orders = sorted(
-        (_coerce_order(lbl) for lbl in order_labels),
-        key=lambda s: (s.nb + s.nf, s.label),
-    )
     r = np.asarray(dataset.r, dtype=float)
     channels = {"y": np.asarray(dataset.y, dtype=float), "u": np.asarray(dataset.u, dtype=float)}
 
@@ -324,7 +323,7 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
     errors: list = []
     prev: dict = {}  # channel -> (order, F tail) of its last successful fit
 
-    for order in orders:
+    for order in fitting_order(order_labels):
         for ch, signal_out in channels.items():
             warm = None
             if ch in prev:
@@ -333,13 +332,6 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
                     warm = np.concatenate([pf, np.zeros(order.nf - ps.nf)])
             try:
                 fit = fit_output_error(r, signal_out, order, seed, warm)
-                c, d = fit_noise_model(fit.sim_residuals, order.nc, order.nd)
-                model = replace(fit.model, c=c, d=d)
-                fit = replace(
-                    fit,
-                    model=model,
-                    pred_residuals=one_step_residuals(model, r, signal_out),
-                )
             except Exception as exc:  # noqa: BLE001 - per-order isolation of fit failures
                 errors.append((order.label, ch, f"{type(exc).__name__}: {exc}"))
                 continue

@@ -21,6 +21,7 @@ from twindisc.twin import (
     TimeSeriesDataset,
     generate_campaign,
     read_csv,
+    simulate_closed_loop,
     write_csv,
 )
 
@@ -825,6 +826,71 @@ class TestDiscriminateCommand:
         assert row_sim["ig_total"] == row_pred["ig_total"]
         assert row_sim["bic_total"] != row_pred["bic_total"]
 
+    @staticmethod
+    def _short_matched_records():
+        # 60 samples each: enough for 15551's B/F (10 * (nb + nf)), not for its
+        # noise model C/D (10 * (nc + nd))
+        a, k, c = MATCHED_SETS[70.0]
+        params = PeltierParams(alpha=a, r_ohm=3.3, k_cond=k, c_heat=c)
+        return [
+            simulate_closed_loop(params, SimConfig(
+                setpoint=sp, duration=60.0, sensor=SensorConfig(noise_std=0.05, seed=seed),
+                label=f"{sp:g}",
+            ))
+            for sp, seed in ((50.0, 0), (70.0, 1))
+        ]
+
+    def test_simulation_scores_need_no_noise_model(self):
+        report = cli.discriminate_datasets(
+            self._short_matched_records(), cli.DiscriminateOptions(orders=("15551",))
+        )
+        validate_report(report)
+        assert [ds["label"] for ds in report["datasets"]] == ["50", "70"]
+        assert [ds["errors"] for ds in report["datasets"]] == [[], []]
+        assert report["errors"] == []
+
+    def test_noise_model_that_needs_more_data_drops_its_order_under_pred(self):
+        need = "ValueError: need at least 100 residuals for nc=5, nd=5, got 60"
+        report = cli.discriminate_datasets(
+            self._short_matched_records(),
+            cli.DiscriminateOptions(orders=("15551",), residual_source="pred"),
+        )
+        assert report["datasets"] == []
+        assert report["errors"] == [
+            f"dataset {label!r}: no order was identified; first error: order 15551 channel y: "
+            f"{need}"
+            for label in ("50", "70")
+        ]
+        # the errors keep the order of the fits, 15551 before 55551, whichever stage failed
+        report = cli.discriminate_datasets(
+            self._short_matched_records(),
+            cli.DiscriminateOptions(orders=("22221", "33331", "15551", "55551"),
+                                    residual_source="pred"),
+        )
+        too_short = "ValueError: need at least 100 samples for orders nb=5, nf=5, got 60"
+        for ds in report["datasets"]:
+            assert [row["order"] for row in ds["orders"]] == ["22221", "33331"]
+            assert ds["errors"] == [
+                f"order 15551 channel y: {need}", f"order 15551 channel u: {need}",
+                f"order 55551 channel y: {too_short}", f"order 55551 channel u: {too_short}",
+            ]
+
+    def test_default_discriminate_fits_no_noise_model(self, tmp_path, campaign_files, monkeypatch):
+        calls = []
+        for name in ("fit_noise_model", "one_step_residuals"):
+            def counted(*args, _name=name, _fn=getattr(sysid, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(sysid, name, counted)
+        assert cli.main(["discriminate", *campaign_files, "--out", str(tmp_path / "sim")]) == 0
+        assert calls == []
+        argv = ["discriminate", *campaign_files, "--out", str(tmp_path / "pred"),
+                "--orders", "22221", "--residuals", "pred"]
+        assert cli.main(argv) == 0
+        # one noise model per dataset and channel
+        assert calls == ["fit_noise_model", "one_step_residuals"] * 4
+
     def test_nan_dataset_is_usage_error(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "nan.csv", seed=0)
         lines = path.read_text().splitlines()
@@ -1033,7 +1099,8 @@ class TestDiscriminateCommand:
         assert "error: output path '' names no file" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before
 
-    @pytest.mark.parametrize("scale, precision", [(1e150, "2"), (1e3, "18")])
+    # at 1e307 the scaled token 1e2 * |u| is inf, which once ended in an OverflowError
+    @pytest.mark.parametrize("scale, precision", [(1e150, "2"), (1e3, "18"), (1e307, "2")])
     def test_data_the_codec_cannot_price_is_usage_error_before_any_fit(
         self, tmp_path, campaign_files, monkeypatch, capsys, scale, precision
     ):
@@ -1103,8 +1170,9 @@ class TestDiscriminateCommand:
         [
             ("seed", -1, "seed must be >= 0"),
             ("orders", ("2222x",), "order label must be 5 digits"),
+            ("orders", (), "at least one order is needed"),
         ],
-        ids=["seed", "orders"],
+        ids=["seed", "orders", "no_orders"],
     )
     def test_bad_option_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -60,6 +60,12 @@ class TestEncodeNumber:
         with pytest.raises(ValueError):
             encode_number(1e19)
 
+    @pytest.mark.parametrize("value", [1e307, -1e307])
+    def test_value_whose_scaling_overflows_the_float_range_is_rejected(self, value):
+        # 1e307 * 10**2 is inf, which math.floor refuses with an OverflowError
+        with pytest.raises(ValueError, match="overflows the 63-bit token range"):
+            encode_number(value, 2)
+
     def test_round_trip_recovers_rounded_value(self):
         rng = np.random.default_rng(5)
         for value in rng.uniform(-1e4, 1e4, size=200):

@@ -263,7 +263,8 @@ class TestIdentifyFamily:
             assert np.max(pole_magnitudes(fit.model.f)) < 1.0 + 1e-9
             assert fit.model.n_params == 4 * int(label[0])
             assert len(fit.sim_residuals) == len(dataset)
-            assert len(fit.pred_residuals) == len(dataset)
+            innovations = sysid.innovations(fit, dataset.r, getattr(dataset, channel))
+            assert len(innovations) == len(dataset)
 
     def test_fit_beats_trivial_mean_predictor(self):
         dataset = self._twin_dataset()
@@ -321,7 +322,16 @@ class TestIdentifyFamily:
             x = x - x.mean()
             return abs(float(np.dot(x[1:], x[:-1]) / np.dot(x, x)))
 
-        assert lag1(fit.pred_residuals) < lag1(fit.sim_residuals)
+        assert lag1(sysid.innovations(fit, dataset.r, dataset.y)) < lag1(fit.sim_residuals)
+
+    def test_output_error_fit_counts_the_noise_order_it_leaves_unfitted(self):
+        u = step_input(200)
+        y = scipy.signal.lfilter([0.0, 0.5], [1.0, -0.9], u)
+        fit = fit_output_error(u, y, "21331")
+        # C = D = 1, carrying the zero taps that make n_params nb + nc + nd + nf
+        assert list(fit.model.c) == [1.0, 0.0]
+        assert list(fit.model.d) == [1.0, 0.0, 0.0, 0.0]
+        assert fit.model.n_params == 2 + 1 + 3 + 3
 
 
 SHIPPED_SETPOINTS = (30, 50, 70, 90)
