@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+STABILITY_MARGIN = 1e-8  # how far inside the unit circle every pole must lie
+
 
 def coefficients(values) -> np.ndarray:
     """Read-only float64 copy of a coefficient vector, checked non-empty and finite."""
@@ -43,8 +45,8 @@ class DiscreteTransferFunction:
 
     def __init__(self, numerator, denominator, sample_time: float):
         sample_time = float(sample_time)
-        if not (sample_time > 0.0):
-            raise ValueError(f"sample_time must be > 0, got {sample_time}")
+        if not 0.0 < sample_time < np.inf:
+            raise ValueError(f"sample_time must be > 0 and finite, got {sample_time}")
         denominator = coefficients(denominator)
         if denominator[0] != 1.0:
             raise ValueError(f"denominator z^0 coefficient must be 1, got {denominator[0]}")
@@ -108,6 +110,18 @@ class OrderSpec:
             raise ValueError(f"order label must be 5 digits like '22221', got {label!r}")
         nb, nc, nd, nf, nk = (int(ch) for ch in label)
         return cls(nb=nb, nc=nc, nd=nd, nf=nf, nk=nk)
+
+
+def is_stable(monic) -> bool:
+    """Schur-Cohn step-down on the roots scaled by 1/rho: all inside rho = 1 - margin."""
+    rho = 1.0 - STABILITY_MARGIN
+    a = [float(c) / rho**i for i, c in enumerate(monic)]
+    while len(a) > 1:
+        k = a[-1]
+        if not abs(k) < 1.0:  # also rejects NaN
+            return False
+        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
+    return True
 
 
 def simulate(tf: DiscreteTransferFunction, input) -> np.ndarray:

@@ -20,17 +20,17 @@ MAX_GRID_SIZE = 65536
 _REFINE_PEAKS = 4
 _REFINE_ROUNDS = 5
 _REFINE_POINTS = 33
-_UNIT_CIRCLE_TOL = 1e-8
 
 
 class UnitCirclePoleError(ArithmeticError):
-    """A model has a pole too close to the unit circle to evaluate the gap."""
+    """A pole within ``lti.STABILITY_MARGIN`` of the unit circle, in a model
+    that fails ``lti.is_stable``, the test every fit passes."""
 
     def __init__(self, label: str, omega: float):
         self.label = label
         self.omega = float(omega)
         super().__init__(
-            f"model {label!r} has a pole within {_UNIT_CIRCLE_TOL:g} of the unit "
+            f"model {label!r} has a pole within {lti.STABILITY_MARGIN:g} of the unit "
             f"circle near omega={self.omega:.6f}"
         )
 
@@ -79,10 +79,12 @@ def _label_of(model) -> str:
 
 
 def _poles(model) -> np.ndarray:
-    """Every channel's poles; raises UnitCirclePoleError on the unit circle."""
+    """Every channel's poles.  A model whose channels pass ``lti.is_stable``, as
+    every fit does, is accepted; any other raises UnitCirclePoleError on a pole within
+    ``lti.STABILITY_MARGIN`` of the unit circle."""
     roots = np.concatenate([np.roots(tf.denominator) for tf in _channels(model)])
-    near = np.abs(np.abs(roots) - 1.0) < _UNIT_CIRCLE_TOL
-    if np.any(near):
+    near = np.abs(np.abs(roots) - 1.0) < lti.STABILITY_MARGIN
+    if np.any(near) and not all(lti.is_stable(tf.denominator) for tf in _channels(model)):
         raise UnitCirclePoleError(_label_of(model), abs(np.angle(roots[np.argmax(near)])))
     return roots
 

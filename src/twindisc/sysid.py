@@ -5,9 +5,11 @@ The deterministic part B/F of each channel is fitted by simulation-error
 for each F the B coefficients are solved by least squares on the filtered
 regressors (1/F)u, and Levenberg-Marquardt searches over F alone on
 Kaufman's Jacobian (variable projection: Golub & Pereyra, SIAM J. Numer.
-Anal. 10, 1973; Kaufman, BIT 15, 1975).  Steps that leave F unstable, by a
-Schur-Cohn step-down test, are rejected.  Each fit starts from a
-matching-order ARX estimate plus seeded perturbations.  The noise part C/D
+Anal. 10, 1973; Kaufman, BIT 15, 1975).  Steps that put a root of F within
+``lti.STABILITY_MARGIN`` of the unit circle (Schur-Cohn: ``lti.is_stable``)
+are rejected.  Each fit starts from a matching-order ARX estimate plus seeded
+perturbations; the radii 0.99, 0.95 and the noise model's 1 - 1e-6 only place
+estimates.  The noise part C/D
 is fitted only to score one-step prediction errors, on a fit's simulation
 residuals in the Hannan-Rissanen style (long AR for innovations, then linear
 least squares), so the two stages never need a joint search.
@@ -33,9 +35,8 @@ from .lti import (
     FitFailureError,
     OrderSpec,
     coefficients,
+    is_stable,
 )
-
-_STABILITY_MARGIN = 1e-6
 
 MAX_ITER = 200  # LM iterations per start
 TOL = 1e-10  # relative cost drop that counts as converged
@@ -116,19 +117,8 @@ class FitResult:
         object.__setattr__(self, "sim_residuals", arr)
 
 
-def _is_stable(monic) -> bool:
-    """Schur-Cohn step-down: every root strictly inside the unit circle."""
-    a = [float(c) for c in monic]
-    while len(a) > 1:
-        k = a[-1]
-        if not abs(k) < 1.0:  # also rejects NaN
-            return False
-        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
-    return True
-
-
-def _project_stable(monic: np.ndarray, radius: float = 1.0 - _STABILITY_MARGIN) -> np.ndarray:
-    """Radially contract the roots of a monic polynomial into the unit disk."""
+def _project_stable(monic: np.ndarray, radius: float) -> np.ndarray:
+    """Radially contract the roots of a monic polynomial into the disk of ``radius``."""
     roots = np.roots(monic)
     rho = float(np.max(np.abs(roots)))
     if rho < radius:
@@ -160,7 +150,7 @@ def _oe_problem(u: np.ndarray, y: np.ndarray, nk: int, nb: int):
 
     def residual(f_tail):
         f = np.concatenate([[1.0], f_tail])
-        if not _is_stable(f):
+        if not is_stable(f):
             return None
         band = denominator_band(f, u.size)
         qr, tau, _, _ = dgeqrf(_delayed(forward_solve(band, u), nk, nb))
@@ -276,8 +266,8 @@ def fit_noise_model(residuals, nc: int, nd: int):
     reg = np.hstack([-_delayed(v, 1, nd), _delayed(e, 1, nc)])[t0:]
     theta, *_ = np.linalg.lstsq(reg, v[t0:], rcond=None)
 
-    d = _project_stable(np.concatenate([[1.0], theta[:nd]]))
-    c = _project_stable(np.concatenate([[1.0], theta[nd:]]))
+    d = _project_stable(np.concatenate([[1.0], theta[:nd]]), radius=1.0 - 1e-6)
+    c = _project_stable(np.concatenate([[1.0], theta[nd:]]), radius=1.0 - 1e-6)
     return c, d
 
 

@@ -849,6 +849,16 @@ class TestDiscriminateCommand:
         assert [ds["errors"] for ds in report["datasets"]] == [[], []]
         assert report["errors"] == []
 
+    def test_every_fit_reaches_the_nugap(self):
+        # the 70 degC u-channel fit ends next to the unit circle; the nu-gap
+        # refuses no pole that the fitter's search admits
+        report = cli.discriminate_datasets(
+            self._short_matched_records(), cli.DiscriminateOptions(orders=("22221",))
+        )
+        validate_report(report)
+        assert report["nugap"] is not None
+        assert report["errors"] == []
+
     def test_noise_model_that_needs_more_data_drops_its_order_under_pred(self):
         need = "ValueError: need at least 100 residuals for nc=5, nd=5, got 60"
         report = cli.discriminate_datasets(

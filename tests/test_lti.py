@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twindisc.lti import (
+    STABILITY_MARGIN,
     DiscreteTransferFunction,
     SimoModel,
     frequency_response,
     coefficients,
+    is_stable,
     simulate,
 )
 from twindisc.sysid import denominator_band, lfilter
@@ -39,10 +45,46 @@ class TestTypes:
     def test_tf_requires_positive_sample_time(self):
         with pytest.raises(ValueError):
             tf([1.0], [1.0], ts=0.0)
+        for ts in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"sample_time must be > 0 and finite, got {ts}"):
+                tf([0.0, 1.0], [1.0, -0.5], ts=ts)
 
     def test_simo_requires_shared_sample_time(self):
         with pytest.raises(ValueError):
             SimoModel(tf_y=tf([1.0], [1.0], 1.0), tf_u=tf([1.0], [1.0], 2.0))
+
+
+def _monic_from_draw(xs):
+    # scale by binomial coefficients so that stable and unstable draws both occur
+    n = len(xs)
+    return np.concatenate([[1.0], [math.comb(n, k + 1) * x for k, x in enumerate(xs)]])
+
+
+class TestSchurCohn:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)
+        )
+    )
+    def test_agrees_with_root_magnitudes(self, xs):
+        monic = _monic_from_draw(xs)
+        rho = float(np.max(np.abs(np.roots(monic))))
+        assume(abs(rho - (1.0 - STABILITY_MARGIN)) > 1e-9)
+        assert is_stable(monic) == (rho < 1.0 - STABILITY_MARGIN)
+
+    def test_boundary_and_degenerate_cases(self):
+        assert is_stable([1.0])
+        assert is_stable([1.0, -0.5])
+        assert not is_stable([1.0, -1.0])  # root on the circle
+        assert not is_stable([1.0, -2.0, 1.0])  # double root at 1
+        assert not is_stable([1.0, 0.0, 1.0])  # roots at +-j
+        assert not is_stable([1.0, float("nan")])
+        assert is_stable(np.real(np.poly([0.999, -0.999, 0.5j, -0.5j])))
+
+    def test_refuses_a_root_inside_the_margin(self):
+        assert not is_stable([1.0, -(1.0 - 1e-9)])
+        assert is_stable([1.0, -(1.0 - 1e-7)])
 
 
 class TestSimulate:

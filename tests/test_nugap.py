@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twindisc.lti import DiscreteTransferFunction, SimoModel
+from twindisc.lti import DiscreteTransferFunction, SimoModel, is_stable
 from twindisc.nugap import (
     DEFAULT_GRID_SIZE,
     MAX_GRID_SIZE,
@@ -227,6 +227,16 @@ class TestNugap:
         healthy = static_gain_model(1.0)
         with pytest.raises(UnitCirclePoleError):
             nugap(integrator, healthy, grid_size=128)
+
+    def test_every_denominator_the_search_accepts_is_evaluated(self):
+        # a pole p = 1 - k * 1e-9 straddles the stability margin as k rises
+        accepted = 0
+        for k in range(1, 31):
+            den = np.convolve([1.0, -(1.0 - k * 1e-9)], [1.0, -0.5])
+            if is_stable(den):
+                _poles(DiscreteTransferFunction([0.0, 1.0], den, 1.0))  # raises if refused
+                accepted += 1
+        assert 0 < accepted < 30
 
     def test_close_stable_pairs_score_below_one(self):
         rng = np.random.default_rng(6)
