@@ -56,8 +56,8 @@ class DiscriminateOptions:
             if self.orders.count(label) > 1:
                 raise ValueError(f"order {label} is listed more than once")
         coding.encode_number(0.0, self.precision)  # the codec's own range check
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not (type(self.seed) is int and self.seed >= 0):  # the report's JSON integer
+            raise ValueError("seed must be >= 0 and an integer")
         if self.residual_source not in RESIDUAL_SOURCES:
             raise ValueError(
                 f"residual source must be one of {RESIDUAL_SOURCES}, "

@@ -51,12 +51,12 @@ class InformationGainReport:
 def encode_number(n: float, precision: int = DEFAULT_PRECISION) -> str:
     """Encode a real as a signed integer token, e.g. 10.34 -> "+1034".
 
-    The value is scaled by 10**precision, rounded half away from zero,
-    stripped of leading zeros and prefixed with its sign.  Exact zero has
-    no sign and encodes as "0".
+    The value is scaled by 10**precision, a Python int (no bool or numpy), rounded
+    half away from zero, stripped of leading zeros and prefixed with its sign.
+    Exact zero has no sign and encodes as "0".
     """
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
+    if not (type(precision) is int and precision >= 0):
+        raise ValueError("precision must be >= 0 and an integer")
     if precision > MAX_PRECISION:
         raise ValueError(f"precision must be <= {MAX_PRECISION}")
     n = float(n)

@@ -136,12 +136,21 @@ PARAM_KEYS = {
 }
 
 
-def _params_from_section(parser, path, section, base: dict) -> dict:
-    values = dict(base)
-    for key, name in PARAM_KEYS.items():
-        if parser.has_option(section, key):
-            values[name] = _get(parser, path, section, key, float, None)
-    return values
+def _section_values(parser, path, section) -> dict:
+    """The PeltierParams fields that ``section`` sets, by field name."""
+    return {name: _get(parser, path, section, key, float, None)
+            for key, name in PARAM_KEYS.items() if parser.has_option(section, key)}
+
+
+def _params_set(path, section, values: dict) -> PeltierParams:
+    """The parameter set of ``section``, from its fields ``values``, checked complete and valid."""
+    missing = [k for k, n in PARAM_KEYS.items() if n not in values]
+    if missing:
+        raise ConfigError(f"{path}: [{section}] missing keys {missing}")
+    try:
+        return PeltierParams(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [{section}]: {exc}") from exc
 
 
 def load_params_file(path) -> dict[float, PeltierParams]:
@@ -158,9 +167,7 @@ def load_params_file(path) -> dict[float, PeltierParams]:
         path,
         lambda section: PARAM_KEYS if section.split(".", 1)[0] == "peltier" else None,
     )
-    base: dict = {}
-    if parser.has_section("peltier"):
-        base = _params_from_section(parser, path, "peltier", {})
+    base = _section_values(parser, path, "peltier")
     result: dict = {}
     for section in parser.sections():
         if not section.startswith("peltier."):
@@ -173,23 +180,10 @@ def load_params_file(path) -> dict[float, PeltierParams]:
             raise ConfigError(f"{path}: [{section}] setpoint is not a finite number")
         if sp in result:
             raise ConfigError(f"{path}: [{section}] repeats setpoint {sp:g}")
-        values = _params_from_section(parser, path, section, base)
-        missing = [k for k, n in PARAM_KEYS.items() if n not in values]
-        if missing:
-            raise ConfigError(f"{path}: [{section}] missing keys {missing}")
-        try:
-            result[sp] = PeltierParams(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [{section}]: {exc}") from exc
-    base_complete = all(n in base for n in PARAM_KEYS.values())
-    if base_complete:
-        try:
-            result[None] = PeltierParams(**base)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [peltier]: {exc}") from exc
-    if not result:
-        missing = [k for k, n in PARAM_KEYS.items() if n not in base]
-        raise ConfigError(f"{path}: [peltier] missing keys {missing}")
+        result[sp] = _params_set(path, section, {**base, **_section_values(parser, path, section)})
+    # the base is an entry when complete, and the one error when no override exists
+    if not result or len(base) == len(PARAM_KEYS):
+        result[None] = _params_set(path, "peltier", base)
     return result
 
 

@@ -20,6 +20,12 @@ import numpy as np
 STABILITY_MARGIN = 1e-8  # how far inside the unit circle every pole must lie
 
 
+def same_sample_time(a, reference):
+    """Whether ``a`` (elementwise for an array) is the sample time ``reference``, to within
+    1e-12 + 1e-9 |reference|: a step of timestamps far from zero carries their rounding."""
+    return np.abs(a - reference) <= 1e-12 + 1e-9 * abs(reference)
+
+
 def coefficients(values) -> np.ndarray:
     """Read-only float64 copy of a coefficient vector, checked non-empty and finite."""
     c = np.array(values, dtype=float)
@@ -57,14 +63,15 @@ class DiscreteTransferFunction:
 
 @dataclass(frozen=True)
 class SimoModel:
-    """One reference input driving two channels: temperature y and control u."""
+    """One reference input driving two channels, temperature y and control u, whose
+    sample times agree by :func:`same_sample_time`."""
 
     tf_y: DiscreteTransferFunction
     tf_u: DiscreteTransferFunction
     label: str = ""
 
     def __post_init__(self):
-        if self.tf_y.sample_time != self.tf_u.sample_time:
+        if not same_sample_time(self.tf_u.sample_time, self.tf_y.sample_time):
             raise ValueError(
                 "both channels must share the sample time "
                 f"({self.tf_y.sample_time} != {self.tf_u.sample_time})"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lm import CONVERGED_REASONS, multistart
+from .lti import same_sample_time
 from .twin import (
     MIN_SAMPLES,
     PeltierParams,
@@ -69,7 +70,8 @@ def _in_box(p: PeltierParams) -> bool:
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """One matching task: data, starting point, channel weights and twin config."""
+    """One matching task: data, starting point, channel weights and a twin config,
+    whose sample time is the dataset's by ``lti.same_sample_time``."""
 
     dataset: TimeSeriesDataset
     initial: PeltierParams
@@ -89,7 +91,7 @@ class MatchProblem:
         cfg = self.sim_config
         if cfg is None:
             cfg = SimConfig(setpoint=float(self.dataset.r[-1]), duration=n * ts, sample_time=ts)
-        elif abs(cfg.sample_time - ts) > 1e-9 * ts:
+        elif not same_sample_time(cfg.sample_time, ts):
             raise ValueError(
                 f"sim_config sample time {cfg.sample_time} s differs "
                 f"from the dataset's {ts} s"
@@ -107,7 +109,6 @@ class MatchResult:
     at_bound: bool
     start_index: int
     start_costs: tuple
-    cost_trace: tuple
 
 
 def _residual_vector(problem: MatchProblem, candidate: PeltierParams):
@@ -146,13 +147,13 @@ def _starts(problem: MatchProblem) -> list[np.ndarray]:
 def _fd_jacobian(problem: MatchProblem, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Forward differences of the residual ``r`` at ``theta``, one simulation per column.
 
-    Column i steps theta_i by h = FD_STEP * max(|theta_i|, 1e-6), inward
-    where theta_i + h would leave ``UPPER``, and divides by the realized
+    Column i steps theta_i, which the box keeps positive, by h = FD_STEP * theta_i,
+    inward where theta_i + h would leave ``UPPER``, and divides by the realized
     width; a stepped run that diverges gives a zero column.
     """
     jac = np.empty((r.size, theta.size))
     for i in range(theta.size):
-        h = FD_STEP * max(abs(theta[i]), 1e-6)
+        h = FD_STEP * theta[i]
         step = theta.copy()
         step[i] = theta[i] + h if theta[i] + h <= UPPER[i] else theta[i] - h
         rs = _residual_vector(problem, params_from(step))
@@ -201,7 +202,7 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
             raise MatchFailureError(f"every multistart diverged; at the initial guess, {exc}") from None
         raise MatchFailureError("every multistart diverged")
     idx, outcomes = search
-    phi, cost, iterations, reason, trace, _ = outcomes[idx]
+    phi, cost, iterations, reason, _, _ = outcomes[idx]
     theta = theta_of(phi)
     if not math.isfinite(cost):
         # the squared residuals overflow: the data lie far outside the twin's range
@@ -216,5 +217,4 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
         at_bound=at_bound,
         start_index=idx,
         start_costs=tuple(math.inf if o is None else o[1] for o in outcomes),
-        cost_trace=tuple(trace),
     )

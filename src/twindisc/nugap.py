@@ -117,7 +117,7 @@ def _winding_number(P1: np.ndarray, P2: np.ndarray) -> tuple[int, float]:
 
 
 def nugap(m1, m2, grid_size: int = DEFAULT_GRID_SIZE) -> float:
-    """Vinnicombe's nu-gap between two models.
+    """Vinnicombe's nu-gap between two models whose sample times pass ``lti.same_sample_time``.
 
     The search grid is ``grid_size`` uniform frequencies plus both models'
     pole angles, where a lightly damped resonance peaks.  On it the pair
@@ -132,9 +132,8 @@ def nugap(m1, m2, grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """
     if not 64 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be >= 64 and <= {MAX_GRID_SIZE}")
-    ts1 = getattr(m1, "sample_time", None)
-    ts2 = getattr(m2, "sample_time", None)
-    if ts1 != ts2:
+    ts1, ts2 = m1.sample_time, m2.sample_time
+    if not lti.same_sample_time(ts2, ts1):
         raise ValueError(f"models must share a sample time ({ts1} != {ts2})")
     p1, p2 = _poles(m1), _poles(m2)
     angles = np.abs(np.angle(np.concatenate([p1, p2])))

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import lti
+
 KELVIN_OFFSET = 273.15
 MIN_SAMPLES = 50
 MAX_SAMPLES = 1_000_000
@@ -127,7 +129,7 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesDataset:
-    """Sampled (t, r, u, y) records of one operating-point experiment."""
+    """Sampled (t, r, u, y) records; every step of t is the first by ``lti.same_sample_time``."""
 
     t: np.ndarray
     r: np.ndarray
@@ -150,9 +152,7 @@ class TimeSeriesDataset:
             bad = next(n for n, a in zip("truy", (t, r, u, y)) if not np.isfinite(a).all())
             raise ValueError(f"column {bad} holds NaN or inf values")
         steps = np.diff(t)
-        if np.any(steps <= 0.0) or not np.all(
-            np.abs(steps - steps[0]) <= 1e-12 + 1e-9 * abs(steps[0])
-        ):
+        if np.any(steps <= 0.0) or not np.all(lti.same_sample_time(steps, steps[0])):
             raise ValueError("t must be strictly increasing with uniform spacing")
         for arr in (t, r, u, y):
             arr.setflags(write=False)
@@ -340,13 +340,12 @@ def write_csv(dataset: TimeSeriesDataset, path) -> None:
         fh.write("\n".join(["t,r,u,y", *map(",".join, zip(*cols)), ""]))
 
 
-def read_csv(path, label: str | None = None) -> TimeSeriesDataset:
-    """Read a dataset CSV produced by :func:`write_csv` (or equivalent).
+def read_csv(path) -> TimeSeriesDataset:
+    """Read a dataset CSV produced by :func:`write_csv` (or equivalent), labelled by its stem.
 
     Every ValueError it raises names ``path``, as an OSError from opening it does.
     """
-    if label is None:
-        label = os.path.splitext(os.path.basename(str(path)))[0]
+    label = os.path.splitext(os.path.basename(str(path)))[0]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -545,6 +546,27 @@ class TestSimulateCommand:
         self._assert_reaped(writer_pids)
         assert sorted(os.listdir(out)) == ["dataset_70.csv.tmp"]
 
+    def test_writer_killed_mid_campaign_is_usage_error_and_replaces_nothing(
+        self, tmp_path, monkeypatch, capsys, writer_pids
+    ):
+        # a writer that dies without raising is known only by its exit status;
+        # the kill may land before or after it takes the third run
+        out = tmp_path / "out"
+        run = cli.twin.simulate_closed_loop
+        labels = []
+
+        def kill_writer_before_third(params, cfg):
+            labels.append(cfg.label)
+            if len(labels) == 3:
+                os.kill(writer_pids[0], signal.SIGKILL)
+            return run(params, cfg)
+
+        monkeypatch.setattr(cli.twin, "simulate_closed_loop", kill_writer_before_third)
+        assert cli.main(self._four_setpoints(tmp_path, out)) == 2
+        assert capsys.readouterr().err == "error: the CSV writer process ended with exit code -9\n"
+        self._assert_reaped(writer_pids)
+        assert not out.exists()
+
     def test_failed_campaign_removes_the_directories_it_made(self, tmp_path, capsys):
         _, euler = TestMatchCommand._euler_case(tmp_path, capsys, 3000)
         new = tmp_path / "new"
@@ -699,6 +721,26 @@ class TestDiscriminateCommand:
         assert report["nugap"] is None
         assert report["nugap_note"] == note
         assert report["errors"] == [note]
+
+    def test_nugap_pair_with_a_clock_that_starts_late_is_selected(self, tmp_path):
+        # t from 1000 s in steps of 0.1 s reads a first step of 0.10000000000002274 s:
+        # the same sample time by the rule that accepted the record
+        a, k, c = MATCHED_SETS[70.0]
+        params = PeltierParams(alpha=a, r_ohm=3.3, k_cond=k, c_heat=c)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, start, seed in zip(paths, (0.0, 1000.0), (0, 1)):
+            ds = simulate_closed_loop(params, SimConfig(
+                setpoint=70.0, duration=60.0, sample_time=0.1,
+                sensor=SensorConfig(noise_std=0.05, seed=seed),
+            ))
+            write_csv(TimeSeriesDataset(ds.t + start, ds.r, ds.u, ds.y), path)
+        out = tmp_path / "r"
+        argv = ["discriminate", *map(str, paths), "--out", str(out), "--orders", "22221"]
+        assert cli.main(argv) == 0
+        report = read_report(tmp_path / "r.json")
+        assert [ds["sample_time"] for ds in report["datasets"]] == [0.1, 0.10000000000002274]
+        assert report["nugap"] is not None
+        assert report["errors"] == []
 
     def test_nugap_pair_at_a_shared_half_second_is_selected(self):
         params = {
@@ -1179,10 +1221,17 @@ class TestDiscriminateCommand:
         "field, value, message",
         [
             ("seed", -1, "seed must be >= 0"),
+            ("seed", 1.5, "seed must be >= 0 and an integer"),
+            ("seed", np.int64(3), "seed must be >= 0 and an integer"),
+            ("seed", False, "seed must be >= 0 and an integer"),
+            ("precision", 2.5, "precision must be >= 0 and an integer"),
+            ("precision", np.int64(2), "precision must be >= 0 and an integer"),
+            ("precision", True, "precision must be >= 0 and an integer"),
             ("orders", ("2222x",), "order label must be 5 digits"),
             ("orders", (), "at least one order is needed"),
         ],
-        ids=["seed", "orders", "no_orders"],
+        ids=["seed", "float_seed", "numpy_seed", "bool_seed", "float_precision",
+             "numpy_precision", "bool_precision", "orders", "no_orders"],
     )
     def test_bad_option_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):

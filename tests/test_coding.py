@@ -43,6 +43,11 @@ class TestEncodeNumber:
         with pytest.raises(ValueError, match="precision"):
             encode_number(10.34, -1)
 
+    def test_non_integer_precision_rejected(self):
+        for precision in (2.5, np.int64(2), True):
+            with pytest.raises(ValueError, match="precision must be >= 0 and an integer"):
+                encode_number(1.234, precision)
+
     def test_precision_above_token_range_rejected(self):
         assert MAX_PRECISION == 18
         assert encode_number(9.0, 18) == "+9000000000000000000"

@@ -281,12 +281,14 @@ class TestGeodesicAcceleration:
             accepted.append((len(seen), th.copy()))
             return rosenbrock_jac(th, r)
 
-        theta, _, _, reason, _, _ = levenberg_marquardt(
+        theta, _, _, reason, trace, _ = levenberg_marquardt(
             residual, jacobian, ROSENBROCK_START, max_iter=200, tol=1e-15,
             bounds=(lo, hi), accelerate=True,
         )
         assert reason in CONVERGED_REASONS
         np.testing.assert_allclose(theta, [0.8, 0.64], rtol=1e-10)
+        # bounds and acceleration together, as matching runs: the cost never rises
+        assert np.all(np.diff(trace) <= 0.0)
         for th in seen:
             assert np.all(th >= lo) and np.all(th <= hi)
         # from the first iterate on the bound, where the gradient points

@@ -13,6 +13,7 @@ from twindisc.lti import (
     frequency_response,
     coefficients,
     is_stable,
+    same_sample_time,
     simulate,
 )
 from twindisc.sysid import denominator_band, lfilter
@@ -52,6 +53,15 @@ class TestTypes:
     def test_simo_requires_shared_sample_time(self):
         with pytest.raises(ValueError):
             SimoModel(tf_y=tf([1.0], [1.0], 1.0), tf_u=tf([1.0], [1.0], 2.0))
+
+    def test_same_sample_time_edge(self):
+        late = 1000.1 - 1000.0  # the first step of a clock that starts at 1000 s
+        assert late - 0.1 == pytest.approx(2.3e-14, rel=0.02)
+        assert same_sample_time(late, 0.1)
+        assert not same_sample_time(1.0 + 2e-9, 1.0)
+        assert same_sample_time(np.array([late, 0.1 + 1e-9]), 0.1).tolist() == [True, False]
+        model = SimoModel(tf_y=tf([1.0], [1.0], 0.1), tf_u=tf([1.0], [1.0], late))
+        assert model.sample_time == 0.1
 
 
 def _monic_from_draw(xs):

@@ -165,12 +165,6 @@ class TestMatchParameters:
         result = match_parameters(problem)
         assert result.params.r_ohm == MEASURED_RESISTANCE
 
-    def test_monotone_descent(self):
-        problem = make_problem(duration=60.0)
-        result = match_parameters(problem)
-        trace = np.asarray(result.cost_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-
     def test_deterministic(self):
         problem = make_problem(duration=60.0)
         a = match_parameters(problem)

@@ -214,6 +214,12 @@ class TestNugap:
         with pytest.raises(ValueError):
             nugap(a, b)
 
+    def test_sample_times_of_a_clock_that_starts_late_are_shared(self):
+        rng = np.random.default_rng(5)
+        a = random_simo(rng, degree=2, sample_time=0.1)
+        b = random_simo(rng, degree=2, sample_time=1000.1 - 1000.0)
+        assert 0.0 <= nugap(a, b) <= 1.0
+
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             nugap(static_gain_model(0.0), static_gain_model(1.0), grid_size=32)

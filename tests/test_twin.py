@@ -439,7 +439,7 @@ class TestDatasetIO:
         )
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
-        back = read_csv(path, label="rt")
+        back = read_csv(path)
         assert np.array_equal(ds.t, back.t)
         assert np.array_equal(ds.r, back.r)
         assert np.array_equal(ds.u, back.u)
