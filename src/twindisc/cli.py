@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import coding, configio, criteria, lti, matching, twin
-from .nugap import UnitCirclePoleError, argmin_cumulative, select_nominal
+from .nugap import argmin_cumulative, select_nominal
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -174,7 +174,7 @@ def _csv_writer():
             elif status:
                 code = os.waitstatus_to_exitcode(status)
                 error = ChildProcessError(f"the CSV writer process ended with exit code {code}")
-        except Exception:
+        except OSError:
             if stopped is None:
                 raise
             # a reap that fails leaves the block's own exception to propagate
@@ -249,7 +249,7 @@ def _score_dataset(dataset: twin.TimeSeriesDataset, opts: DiscriminateOptions):
         for (lbl, ch), fit in family.fits.items():
             try:
                 scored[lbl, ch] = sysid.innovations(fit, dataset.r, getattr(dataset, ch))
-            except ValueError as exc:  # a noise model that cannot be fitted drops its order
+            except lti.FIT_FAILURES as exc:  # a noise model that cannot be fitted drops its order
                 del scored[lbl, ch]
                 failures.append((lbl, ch, f"{type(exc).__name__}: {exc}"))
         rank = [spec.label for spec in sysid.fitting_order(opts.orders)]
@@ -308,9 +308,9 @@ def discriminate_datasets(
 ) -> dict:
     """Run identification + scoring on each dataset, then the gap selection.
 
-    Per-dataset failures are isolated into the report's error section; the
-    nu-gap stage runs over the per-dataset consensus-best models and is
-    omitted (with a note) when fewer than two are available.
+    A dataset that fails with one of ``lti.FIT_FAILURES`` goes into the report's errors, and
+    the nu-gap stage over the consensus models is omitted with a note when fewer than two
+    are available or it raises ValueError; any other exception is a bug and propagates.
     """
     dataset_reports: list = []
     gap_models: list = []
@@ -318,7 +318,7 @@ def discriminate_datasets(
     for dataset in datasets:
         try:
             report, gap_model = _score_dataset(dataset, opts)
-        except Exception as exc:  # noqa: BLE001 - isolate per-dataset failure
+        except lti.FIT_FAILURES as exc:
             errors.append(f"dataset {dataset.label!r}: {exc}")
             continue
         dataset_reports.append(report)
@@ -339,7 +339,7 @@ def discriminate_datasets(
                 "winner_label": matrix.labels[winner],
                 "tie": tie,
             }
-        except (UnitCirclePoleError, ValueError) as exc:
+        except ValueError as exc:
             nugap_note = f"nu-gap selection failed: {exc}"
             errors.append(nugap_note)
 

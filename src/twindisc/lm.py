@@ -103,18 +103,14 @@ def levenberg_marquardt(
         stepped = False
         disallowed = False
         while lam <= MAX_LAMBDA:
-            try:
-                damped = jtj + lam * np.diag(scale)
-                delta = np.linalg.solve(damped, -jtr)
-                free = None
-                if bounds is not None:
-                    active = ((theta <= lo) & (delta < 0.0)) | ((theta >= hi) & (delta > 0.0))
-                    if active.any():
-                        free = ~active
-                        delta = _solve_free(damped, -jtr, free)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+            damped = jtj + lam * np.diag(scale)
+            delta = np.linalg.solve(damped, -jtr)
+            free = None
+            if bounds is not None:
+                active = ((theta <= lo) & (delta < 0.0)) | ((theta >= hi) & (delta > 0.0))
+                if active.any():
+                    free = ~active
+                    delta = _solve_free(damped, -jtr, free)
             step = delta
             if accelerate:
                 h = ACCEL_PROBE_STEP

@@ -86,7 +86,11 @@ DEFAULT_ORDER_LABELS = ("22221", "33331", "44441", "55551")
 
 
 class FitFailureError(RuntimeError):
-    """No start of an output-error fit produced a stable iterate."""
+    """No start of a fit reached a stable iterate, or no order or no dataset was identified."""
+
+
+# what a fit of recorded data can end in: data it refuses or cannot solve, no stable iterate
+FIT_FAILURES = (ValueError, np.linalg.LinAlgError, FitFailureError)
 
 
 @dataclass(frozen=True)

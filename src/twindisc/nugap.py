@@ -22,19 +22,6 @@ _REFINE_ROUNDS = 5
 _REFINE_POINTS = 33
 
 
-class UnitCirclePoleError(ArithmeticError):
-    """A pole within ``lti.STABILITY_MARGIN`` of the unit circle, in a model
-    that fails ``lti.is_stable``, the test every fit passes."""
-
-    def __init__(self, label: str, omega: float):
-        self.label = label
-        self.omega = float(omega)
-        super().__init__(
-            f"model {label!r} has a pole within {lti.STABILITY_MARGIN:g} of the unit "
-            f"circle near omega={self.omega:.6f}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class NuGapMatrix:
     """Pairwise gaps of a model family plus per-model cumulative sums."""
@@ -80,12 +67,14 @@ def _label_of(model) -> str:
 
 def _poles(model) -> np.ndarray:
     """Every channel's poles.  A model whose channels pass ``lti.is_stable``, as
-    every fit does, is accepted; any other raises UnitCirclePoleError on a pole within
-    ``lti.STABILITY_MARGIN`` of the unit circle."""
+    every fit does, is accepted; any other raises ValueError, naming the pole's
+    angle, on a pole within ``lti.STABILITY_MARGIN`` of the unit circle."""
     roots = np.concatenate([np.roots(tf.denominator) for tf in _channels(model)])
     near = np.abs(np.abs(roots) - 1.0) < lti.STABILITY_MARGIN
     if np.any(near) and not all(lti.is_stable(tf.denominator) for tf in _channels(model)):
-        raise UnitCirclePoleError(_label_of(model), abs(np.angle(roots[np.argmax(near)])))
+        omega = abs(np.angle(roots[np.argmax(near)]))
+        raise ValueError(f"model {_label_of(model)!r} has a pole within {lti.STABILITY_MARGIN:g} "
+                         f"of the unit circle near omega={omega:.6f}")
     return roots
 
 
@@ -128,7 +117,8 @@ def nugap(m1, m2, grid_size: int = DEFAULT_GRID_SIZE) -> float:
     [0, pi], whose highest local maxima on the grid are refined together on
     successively finer local grids.  For a SIMO model eta sums each
     channel's count, which is Vinnicombe's eta when the channels share no
-    unstable pole.
+    unstable pole.  A pair whose responses are too large for the chordal
+    distance to square (a gain above about 1e77) is a ValueError.
     """
     if not 64 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be >= 64 and <= {MAX_GRID_SIZE}")
@@ -136,6 +126,16 @@ def nugap(m1, m2, grid_size: int = DEFAULT_GRID_SIZE) -> float:
     if not lti.same_sample_time(ts2, ts1):
         raise ValueError(f"models must share a sample time ({ts1} != {ts2})")
     p1, p2 = _poles(m1), _poles(m2)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # changes no arithmetic
+            return _gap(m1, m2, p1, p2, grid_size)
+    except FloatingPointError as exc:  # a response too large to square or multiply
+        raise ValueError(f"the responses of models {_label_of(m1)!r} and {_label_of(m2)!r} "
+                         f"are too large for the chordal distance ({exc})") from None
+
+
+def _gap(m1, m2, p1, p2, grid_size: int) -> float:
+    """:func:`nugap` of two models whose poles are ``p1`` and ``p2``."""
     angles = np.abs(np.angle(np.concatenate([p1, p2])))
     omegas = np.union1d(np.linspace(0.0, np.pi, grid_size), angles)
     P1, P2 = _response_columns(m1, omegas), _response_columns(m2, omegas)

@@ -31,6 +31,7 @@ from scipy.linalg.lapack import dgeqrf, dorgqr
 from .lm import CONVERGED_REASONS, multistart
 from .lti import (
     DEFAULT_ORDER_LABELS,
+    FIT_FAILURES,
     DiscreteTransferFunction,
     FitFailureError,
     OrderSpec,
@@ -303,8 +304,8 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
 
     Orders are processed in :func:`fitting_order` and each fit warm-starts
     from the previous order's zero-padded solution, which makes the best
-    simulation cost non-increasing with order.  Per-channel failures are
-    recorded without aborting the remaining orders.
+    simulation cost non-increasing with order.  A fit that ends in one of
+    ``FIT_FAILURES`` is recorded without aborting the remaining orders; others propagate.
     """
     r = np.asarray(dataset.r, dtype=float)
     channels = {"y": np.asarray(dataset.y, dtype=float), "u": np.asarray(dataset.u, dtype=float)}
@@ -322,7 +323,7 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
                     warm = np.concatenate([pf, np.zeros(order.nf - ps.nf)])
             try:
                 fit = fit_output_error(r, signal_out, order, seed, warm)
-            except Exception as exc:  # noqa: BLE001 - per-order isolation of fit failures
+            except FIT_FAILURES as exc:
                 errors.append((order.label, ch, f"{type(exc).__name__}: {exc}"))
                 continue
             fits[(order.label, ch)] = fit

@@ -1018,7 +1018,7 @@ class TestDiscriminateCommand:
         self, tmp_path, campaign_files, monkeypatch
     ):
         def boom(dataset, opts):
-            raise RuntimeError("synthetic failure")
+            raise sysid.FitFailureError("synthetic failure")
 
         monkeypatch.setattr(cli, "_score_dataset", boom)
         code = cli.main(
@@ -1028,6 +1028,22 @@ class TestDiscriminateCommand:
         report = read_report(tmp_path / "r.json")
         assert report["datasets"] == []
         assert any("synthetic failure" in msg for msg in report["errors"])
+
+    @pytest.mark.parametrize("module, name", [(sysid, "fit_output_error"),
+                                              (criteria, "simo_criteria")],
+                             ids=["fit_output_error", "simo_criteria"])
+    def test_bug_in_fitting_or_scoring_is_a_traceback(
+        self, tmp_path, campaign_files, monkeypatch, module, name
+    ):
+        # a TypeError is none of lti.FIT_FAILURES: no report row hides it
+        def bug(*args):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(module, name, bug)
+        argv = ["discriminate", *campaign_files, "--out", str(tmp_path / "r"), "--orders", "22221"]
+        with pytest.raises(TypeError, match="synthetic bug"):
+            cli.main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["set_0.csv", "set_1.csv"]
 
     def test_unreadable_dataset_is_usage_error(self, tmp_path):
         code = cli.main(

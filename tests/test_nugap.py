@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from twindisc.nugap import (
     DEFAULT_GRID_SIZE,
     MAX_GRID_SIZE,
     NuGapMatrix,
-    UnitCirclePoleError,
     argmin_cumulative,
     nugap,
     select_nominal,
@@ -231,8 +231,22 @@ class TestNugap:
     def test_unit_circle_pole_raises(self):
         integrator = DiscreteTransferFunction([0.0, 1.0], [1.0, -1.0], 1.0)
         healthy = static_gain_model(1.0)
-        with pytest.raises(UnitCirclePoleError):
+        with pytest.raises(ValueError, match="has a pole within"):
             nugap(integrator, healthy, grid_size=128)
+
+    def test_responses_too_large_to_square_are_a_value_error_without_warnings(self):
+        # channels [0, g] / [1, -0.5]: the chordal distance squares a gain of 2g at DC
+        def model(g, label):
+            tf_y = DiscreteTransferFunction([0.0, g], [1.0, -0.5], 1.0)
+            tf_u = DiscreteTransferFunction([0.0, 1.0], [1.0, -0.5], 1.0)
+            return SimoModel(tf_y, tf_u, label=label)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < nugap(model(1e76, "a"), model(2e76, "b")) < 1e-70
+            for g1, g2 in ((1e80, 2e80), (1e160, 1.0)):
+                with pytest.raises(ValueError, match="of models 'a' and 'b' are too large"):
+                    nugap(model(g1, "a"), model(g2, "b"))
 
     def test_every_denominator_the_search_accepts_is_evaluated(self):
         # a pole p = 1 - k * 1e-9 straddles the stability margin as k rises

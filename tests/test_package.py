@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -51,3 +52,17 @@ def test_fit_failure_is_one_class_and_exits_1(tmp_path, monkeypatch):
     data = tmp_path / "d.csv"
     data.write_text("t,r,u,y\n0,0,0,0\n1,1,0.5,0.25\n")
     assert cli.main(["discriminate", str(data), "--out", str(tmp_path / "r")]) == 1
+
+
+def test_src_catches_no_bare_exception():
+    # an expected failure is named (lti.FIT_FAILURES, OSError, ...), so a bug leaves as a
+    # traceback; BaseException handlers clean up and re-raise, or report to the parent
+    found = []
+    for path in sorted((Path(SRC) / "twindisc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(getattr(n, "id", None) == "Exception" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
