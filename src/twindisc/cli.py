@@ -502,7 +502,7 @@ def cmd_match(args):
     problem = matching.MatchProblem(
         dataset=dataset,
         initial=_parse_initial(args.initial),
-        weights=(1.0, 1.0) if args.channels == "yu" else (1.0, 0.0),
+        channels=args.channels,
         sim_config=sim_config,
     )
     if not args.config:
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="datasheet",
         help="preset name (datasheet, experience, measurement) or 'alpha,k,c'",
     )
-    p_match.add_argument("--channels", choices=("yu", "y"), default="yu")
+    p_match.add_argument("--channels", choices=matching.CHANNELS, default="yu")
     p_match.add_argument("--config", default=None, help="simulation config (INI)")
     p_match.add_argument("--out", required=True, help="result JSON path")
     p_match.set_defaults(func=cmd_match)

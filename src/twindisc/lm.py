@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_LAMBDA = 1e12
+TOL = 1e-10  # relative cost drop that counts as converged
 #: Geodesic acceleration: the relative finite-difference step of the probe
 #: along the damped step, and the largest ratio 2||a|| / ||delta|| that is
 #: still trusted (Transtrum & Sethna's values).
@@ -43,9 +44,7 @@ def _solve_free(matrix, rhs, free):
 # warning: a sum of squares that overflows is an infinite cost, and a JᵀJ that
 # overflows gives a non-finite step, whose candidate the residual disallows
 @np.errstate(over="ignore", invalid="ignore")
-def levenberg_marquardt(
-    residual, jacobian, theta0, max_iter: int, tol: float, bounds=None, accelerate=False
-):
+def levenberg_marquardt(residual, jacobian, theta0, max_iter: int, bounds=None, accelerate=False):
     """Minimize ``||residual(theta)||^2`` from ``theta0``.
 
     ``residual(theta)`` returns None for a theta that is not allowed, and
@@ -66,14 +65,13 @@ def levenberg_marquardt(
     step and is no barrier.
 
     The search stops with one of these reasons: ``"zero_cost"``;
-    ``"rel_drop"``, a relative cost drop below ``tol``; ``"no_descent"``,
+    ``"rel_drop"``, a relative cost drop below ``TOL``; ``"no_descent"``,
     no damping up to ``MAX_LAMBDA`` improves; ``"barrier"``, either of the
     last two in an iteration that also met a candidate ``residual``
     disallowed; and ``"iteration_cap"`` after ``max_iter`` iterations.
 
-    Returns ``(theta, cost, iterations, reason, cost_trace, r)``, the trace
-    holding the start's cost and each accepted one and ``r`` being
-    ``residual(theta)``, or None when ``theta0`` is not allowed.
+    Returns ``(theta, cost, iterations, reason)``, or None when ``theta0``
+    is not allowed.
     """
     if bounds is None:
         def clip(x):
@@ -88,7 +86,6 @@ def levenberg_marquardt(
     if r is None:
         return None
     cost = float(r @ r)
-    trace = [cost]
     lam = 1e-3
     iterations = 0
     reason = "iteration_cap"
@@ -134,7 +131,6 @@ def levenberg_marquardt(
                 if new_cost < cost:
                     rel_drop = (cost - new_cost) / cost
                     theta, r, cost = cand, rc, new_cost
-                    trace.append(cost)
                     lam = max(lam / 10.0, 1e-12)
                     stepped = True
                     break
@@ -142,23 +138,21 @@ def levenberg_marquardt(
         if not stepped:
             reason = "barrier" if disallowed else "no_descent"
             break
-        if rel_drop < tol:
+        if rel_drop < TOL:
             reason = "barrier" if disallowed else "rel_drop"
             break
-    return theta, cost, iterations, reason, trace, r
+    return theta, cost, iterations, reason
 
 
-def multistart(
-    residual, jacobian, starts, max_iter: int, tol: float, bounds=None, accelerate=False
-):
+def multistart(residual, jacobian, starts, max_iter: int, bounds=None, accelerate=False):
     """Run :func:`levenberg_marquardt` from each start in order; the lowest cost wins.
 
-    A start ``residual`` rejects has no outcome and never wins; ties go to
-    the lowest index.  Returns ``(winner, outcomes)``, with None in
-    ``outcomes`` for each rejected start, or None when every start is.
+    A start ``residual`` rejects has no outcome (None) and never wins; ties
+    go to the lowest index.  Returns ``(winner, outcomes)``, each outcome a
+    ``(theta, cost, iterations, reason)``, or None when every start is rejected.
     """
     outcomes = [
-        levenberg_marquardt(residual, jacobian, start, max_iter, tol, bounds, accelerate)
+        levenberg_marquardt(residual, jacobian, start, max_iter, bounds, accelerate)
         for start in starts
     ]
     allowed = [i for i, outcome in enumerate(outcomes) if outcome is not None]

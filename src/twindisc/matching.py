@@ -27,10 +27,10 @@ from .twin import (
 
 MEASURED_RESISTANCE = 3.3  # ohm
 FD_STEP = 2.0**-26  # relative forward-difference step: sqrt(machine epsilon)
-TOL = 1e-10  # relative cost drop that counts as converged
 # the alpha/K/C ridge is a long curved valley: the winning start takes 10-21
 # iterations along it on the shipped and benchmark data; the cap bounds a crawl
 MAX_ITER = 150
+CHANNELS = ("yu", "y")  # the traces a match fits: temperature and control, or temperature
 
 #: Initial-guess presets for the matching search: the module datasheet, an
 #: independent bench measurement, and hands-on operating experience.
@@ -70,20 +70,19 @@ def _in_box(p: PeltierParams) -> bool:
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """One matching task: data, starting point, channel weights and a twin config,
-    whose sample time is the dataset's by ``lti.same_sample_time``."""
+    """One matching task: data, starting point, the traces fitted (``CHANNELS``) and
+    a twin config, whose sample time is the dataset's by ``lti.same_sample_time``."""
 
     dataset: TimeSeriesDataset
     initial: PeltierParams
-    weights: tuple = (1.0, 1.0)
+    channels: str = "yu"
     sim_config: SimConfig | None = None
 
     def __post_init__(self):
         if not _in_box(self.initial):
             raise ValueError(f"initial guess must lie within the box {_BOX_TEXT}")
-        w_y, w_u = self.weights
-        if not (0.0 <= w_y < math.inf and 0.0 <= w_u < math.inf) or w_y == w_u == 0.0:
-            raise ValueError("weights must be finite, nonnegative and not both zero")
+        if self.channels not in CHANNELS:
+            raise ValueError(f"channels must be one of {CHANNELS}, got {self.channels!r}")
         n = len(self.dataset)
         if n < MIN_SAMPLES:
             raise ValueError(f"dataset has {n} samples, matching needs at least {MIN_SAMPLES}")
@@ -112,19 +111,19 @@ class MatchResult:
 
 
 def _residual_vector(problem: MatchProblem, candidate: PeltierParams):
-    """Weighted stacked residuals, or None when the simulation diverges."""
+    """The y residuals, then the u ones under ``"yu"``; None when the simulation diverges."""
     try:
         sim = simulate_closed_loop(candidate, problem.sim_config, reference=problem.dataset.r)
     except SimulationDivergedError:
         return None
-    w_y, w_u = problem.weights
     res_y = problem.dataset.y - sim.y
-    res_u = problem.dataset.u - sim.u
-    return np.concatenate([math.sqrt(w_y) * res_y, math.sqrt(w_u) * res_u])
+    if problem.channels == "y":
+        return res_y
+    return np.concatenate([res_y, problem.dataset.u - sim.u])
 
 
 def sse_cost(problem: MatchProblem, candidate: PeltierParams) -> float:
-    """Weighted sum of squared trace errors; +inf when the twin diverges.
+    """Sum of squared errors over the problem's channels; +inf when the twin diverges.
 
     The infinite sentinel keeps a search loop alive instead of crashing it.
     """
@@ -191,7 +190,7 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
         return _fd_jacobian(problem, theta, r) * theta
 
     search = multistart(
-        residual, jacobian, [np.log(s / ref) for s in _starts(problem)], MAX_ITER, TOL,
+        residual, jacobian, [np.log(s / ref) for s in _starts(problem)], MAX_ITER,
         bounds=(np.log(LOWER / ref), np.log(UPPER / ref)), accelerate=True,
     )
     if search is None:
@@ -202,7 +201,7 @@ def match_parameters(problem: MatchProblem) -> MatchResult:
             raise MatchFailureError(f"every multistart diverged; at the initial guess, {exc}") from None
         raise MatchFailureError("every multistart diverged")
     idx, outcomes = search
-    phi, cost, iterations, reason, _, _ = outcomes[idx]
+    phi, cost, iterations, reason = outcomes[idx]
     theta = theta_of(phi)
     if not math.isfinite(cost):
         # the squared residuals overflow: the data lie far outside the twin's range

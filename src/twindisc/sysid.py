@@ -9,10 +9,10 @@ Anal. 10, 1973; Kaufman, BIT 15, 1975).  Steps that put a root of F within
 ``lti.STABILITY_MARGIN`` of the unit circle (Schur-Cohn: ``lti.is_stable``)
 are rejected.  Each fit starts from a matching-order ARX estimate plus seeded
 perturbations; the radii 0.99, 0.95 and the noise model's 1 - 1e-6 only place
-estimates.  The noise part C/D
-is fitted only to score one-step prediction errors, on a fit's simulation
-residuals in the Hannan-Rissanen style (long AR for innovations, then linear
-least squares), so the two stages never need a joint search.
+those estimates.  The noise part C/D is fitted only to score one-step
+prediction errors, on a fit's simulation residuals in the Hannan-Rissanen
+style (long AR for innovations, then linear least squares), so the two stages
+never need a joint search.
 
 This is the one module of the package that imports scipy (its BLAS and
 LAPACK wrappers), so only model fitting pays for loading it.  The import
@@ -40,7 +40,6 @@ from .lti import (
 )
 
 MAX_ITER = 200  # LM iterations per start
-TOL = 1e-10  # relative cost drop that counts as converged
 N_STARTS = 5  # the ARX initializer plus seeded perturbations of it
 PERTURBATION = 0.2  # perturbation scale, relative to 1 + |theta|
 
@@ -110,7 +109,6 @@ class FitResult:
     sim_residuals: np.ndarray
     converged: bool
     iterations: int
-    cost: float
 
     def __post_init__(self):
         arr = np.asarray(self.sim_residuals, dtype=float)
@@ -216,13 +214,13 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
         starts.append(warm_start)
 
     residual, jacobian = _oe_problem(u, y, order.nk, order.nb)
-    search = multistart(residual, jacobian, starts, MAX_ITER, TOL)
+    search = multistart(residual, jacobian, starts, MAX_ITER)
     if search is None:
         raise FitFailureError(
             f"no stable iterate found for order {order.label} on {y.size} samples"
         )
     winner, outcomes = search
-    f_tail, _, iterations, reason, _, _ = outcomes[winner]
+    f_tail, _, iterations, reason = outcomes[winner]
     f = np.concatenate([[1.0], f_tail])
     phi = _delayed(lfilter([1.0], f, u), order.nk, order.nb)
     b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
@@ -233,7 +231,6 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
         sim_residuals=residuals,
         converged=reason in CONVERGED_REASONS,
         iterations=iterations,
-        cost=float(residuals @ residuals),
     )
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: random stable systems, oracles and reference fixtures."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -227,3 +228,31 @@ def read_report(path) -> dict:
     report = json.loads(path.read_text(encoding="utf-8"))
     validate_report(report)
     return report
+
+
+def _relative_change(old: float, new: float) -> float:
+    if new == old:
+        return 0.0
+    return (new - old) / abs(old) if old else math.copysign(math.inf, new - old)
+
+
+def match_delta(old: bytes, new: bytes) -> str:
+    """How far a ``match`` JSON moved from ``old`` to ``new``, as one line.
+
+    Gives each parameter's and the SSE's relative change, ``start_index``
+    before and after, and the names of any other fields that differ.
+    """
+    a, b = json.loads(old), json.loads(new)
+    moves = [
+        f"{key} {_relative_change(a['params'][key], b['params'][key]):+.2g}"
+        for key in a["params"]
+    ]
+    moves.append(f"sse {_relative_change(a['sse'], b['sse']):+.2g}")
+    moves.append(f"start_index {a['start_index']} -> {b['start_index']}")
+    others = sorted(
+        key for key in a.keys() | b.keys()
+        if key not in ("params", "sse", "start_index") and a.get(key) != b.get(key)
+    )
+    return "match moved (relative): " + ", ".join(moves) + (
+        f"; other fields that differ: {', '.join(others)}" if others else ""
+    )

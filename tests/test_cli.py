@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from twindisc import cli, configio, criteria, sysid
+from twindisc import cli, configio, criteria, matching, sysid
 from twindisc.twin import (
     PeltierParams,
     SensorConfig,
@@ -26,7 +26,9 @@ from twindisc.twin import (
     write_csv,
 )
 
-from helpers import MATCHED_SETS, read_report, validate_report
+from helpers import MATCHED_SETS, match_delta, read_report, validate_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CONFIG = """\
 [simulation]
@@ -1331,6 +1333,28 @@ class TestMatchCommand:
             k_cond=fitted["k_w_per_k"], c_heat=fitted["c_j_per_k"],
         )}
 
+    def test_channels_pass_straight_to_the_problem(self, tmp_path, monkeypatch, capsys):
+        # --channels takes its choices from matching.CHANNELS, and the problem
+        # gets the choice as given
+        path = self._dataset(tmp_path)
+        seen = []
+
+        def capture(problem):
+            seen.append(problem.channels)
+            raise matching.MatchFailureError("stopped")
+
+        monkeypatch.setattr(cli.matching, "match_parameters", capture)
+        out = str(tmp_path / "m.json")
+        for channels in matching.CHANNELS:
+            assert cli.main(["match", path, "--channels", channels, "--out", out]) == 1
+        assert seen == list(matching.CHANNELS)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["match", path, "--channels", "u", "--out", out])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'u'" in err and "yu" in err
+
     def test_unknown_preset_lists_options(self, tmp_path, capsys):
         path = self._dataset(tmp_path)
         code = cli.main(["match", path, "--initial", "folklore", "--out", str(tmp_path / "m.json")])
@@ -1580,20 +1604,6 @@ REPORT_SHA256 = {
     "pred": "e4fa38db4a1208abc3ba322e09ff3088f016464dc3e538297a7bd4938a8333e5",
 }
 
-# SHA-256 of the ``match dataset_45.csv --initial datasheet`` JSON on the same
-# campaign, recorded once matching searched log-parameters with geodesic
-# acceleration; against the linear forward-difference search the SSE moved by
-# 3.2e-12 relative and the parameters by at most 1.4e-5.  All five starts end
-# within 3e-14 of one cost, so the winner moved from start 1 to start 3.
-MATCH_SHA256 = "394aede95d17b952e547ee52f870278d7f15f4b077a40b5d0721abf00c8faaba"
-
-# SHA-256 of ``match dataset_35.csv --initial measurement --channels y --config
-# sim.ini`` on the same campaign, recorded with the log-parameter accelerated
-# search.  All five starts end within 1.1e-11 of one cost, so the winner moved
-# from start 4 to start 2, the SSE by 6.4e-12 and the parameters by 4.3e-6.
-MATCH_Y_CONFIG_SHA256 = "b26e8538b66624a984b0f15d0e352c4dbca1bdebe92379d8e590ab8293a6c227"
-
-
 @pytest.fixture()
 def c10_campaign(tmp_path):
     (tmp_path / "sim.ini").write_text(
@@ -1642,22 +1652,40 @@ def test_report_bytes_are_pinned(tmp_path, c10_campaign):
         assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[name], name
 
 
+def assert_match_pinned(out, golden_name):
+    """``out`` equals the golden ``match`` JSON byte for byte; a failure says how far it moved."""
+    golden = (GOLDEN / golden_name).read_bytes()
+    written = out.read_bytes()
+    assert written == golden, match_delta(golden, written)
+
+
+# ``match dataset_45.csv --initial datasheet`` on the same campaign, recorded
+# once matching searched log-parameters with geodesic acceleration; against the
+# linear forward-difference search the SSE moved by 3.2e-12 relative and the
+# parameters by at most 1.4e-5.  All five starts end within 3e-14 of one cost,
+# so the winner moved from start 1 to start 3.
 def test_match_bytes_are_pinned(tmp_path, c10_campaign):
     out = tmp_path / "match.json"
     assert cli.main(
         ["match", str(c10_campaign / "dataset_45.csv"), "--initial", "datasheet",
          "--out", str(out)]
     ) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == MATCH_SHA256
+    assert_match_pinned(out, "match_c10_dataset_45_datasheet.json")
 
 
+# ``match dataset_35.csv --initial measurement --channels y --config sim.ini``
+# on the same campaign, recorded once a y-only match ran on the y residuals
+# alone, not on [y; 0 u]: the sums over n rows in place of 2n round apart, the
+# SSE moved by -6.4e-12 relative, the parameters by at most 3.8e-6, and the
+# winner from start 2 to start 4.  All five starts end within about 1e-11 of
+# one cost.
 def test_match_y_channel_with_config_bytes_are_pinned(tmp_path, c10_campaign):
     out = tmp_path / "match.json"
     assert cli.main(
         ["match", str(c10_campaign / "dataset_35.csv"), "--initial", "measurement",
          "--channels", "y", "--config", str(tmp_path / "sim.ini"), "--out", str(out)]
     ) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == MATCH_Y_CONFIG_SHA256
+    assert_match_pinned(out, "match_c10_dataset_35_measurement_y_config.json")
 
 
 @pytest.mark.skipif(

@@ -77,13 +77,16 @@ class TestSseCost:
             sse_cost(problem, outside)
 
     def test_weighting_scales_cost(self):
-        p_y = make_problem(weights=(2.0, 0.0))
-        p_u = make_problem(weights=(0.0, 1.0))
+        # "yu" adds the control trace's squared errors to those of "y"
+        p_y = make_problem(channels="y")
+        both = make_problem(channels="yu")
         cand = PeltierParams(alpha=0.03, r_ohm=3.3, k_cond=0.3, c_heat=12.0)
-        both = make_problem(weights=(2.0, 1.0))
+        sim = simulate_closed_loop(cand, both.sim_config, reference=both.dataset.r)
+        res_u = both.dataset.u - sim.u
         assert sse_cost(both, cand) == pytest.approx(
-            sse_cost(p_y, cand) + sse_cost(p_u, cand), rel=1e-12
+            sse_cost(p_y, cand) + float(res_u @ res_u), rel=1e-12
         )
+        assert sse_cost(p_y, cand) > 0.0 and res_u @ res_u > 0.0
 
 
 def richardson_jacobian(problem, theta, rel_step=1e-3):
@@ -219,18 +222,12 @@ class TestMatchParameters:
         with pytest.raises(ValueError, match=r"alpha in \[0.005, 0.2\] V/K"):
             make_problem(initial=outside)
 
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            make_problem(weights=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            make_problem(weights=(-1.0, 1.0))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_weights_rejected(self, bad):
-        # a NaN or infinite weight would step the search to NaN
-        for weights in ((bad, 1.0), (1.0, bad)):
-            with pytest.raises(ValueError, match="finite"):
-                make_problem(duration=60.0, weights=weights)
+    @pytest.mark.parametrize(
+        "channels", ["u", "uy", "", ("y",), None], ids=["u", "uy", "empty", "tuple", "none"]
+    )
+    def test_channels_outside_the_choice_rejected(self, channels):
+        with pytest.raises(ValueError, match=r"channels must be one of \('yu', 'y'\)"):
+            make_problem(duration=60.0, channels=channels)
 
     def test_default_sim_config_follows_dataset_sample_time(self):
         cfg = SimConfig(setpoint=70.0, duration=60.0, sample_time=0.5, sensor=SensorConfig())
