@@ -26,6 +26,11 @@ def same_sample_time(a, reference):
     return np.abs(a - reference) <= 1e-12 + 1e-9 * abs(reference)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool: a seed or a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def coefficients(values) -> np.ndarray:
     """Read-only float64 copy of a coefficient vector, checked non-empty and finite."""
     c = np.array(values, dtype=float)

@@ -36,6 +36,7 @@ from .lti import (
     FitFailureError,
     OrderSpec,
     coefficients,
+    is_integer,
     is_stable,
 )
 
@@ -304,6 +305,9 @@ def identify_family(dataset, order_labels=DEFAULT_ORDER_LABELS, seed: int = 0) -
     simulation cost non-increasing with order.  A fit that ends in one of
     ``FIT_FAILURES`` is recorded without aborting the remaining orders; others propagate.
     """
+    # checked once here: numpy's refusal inside a fit would read as a fit failure
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be >= 0 and an integer, not {seed!r}")
     r = np.asarray(dataset.r, dtype=float)
     channels = {"y": np.asarray(dataset.y, dtype=float), "u": np.asarray(dataset.u, dtype=float)}
 

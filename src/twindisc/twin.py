@@ -83,7 +83,7 @@ class SensorConfig:
     def __post_init__(self):
         if not (0.0 <= self.quantization < math.inf and 0.0 <= self.noise_std < math.inf):
             raise ValueError("quantization and noise_std must be >= 0 and finite")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (lti.is_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be >= 0 and an integer")
 
 
@@ -112,7 +112,7 @@ class SimConfig:
             raise ValueError(f"need at least {MIN_SAMPLES} samples (duration/sample_time)")
         if n > MAX_SAMPLES:
             raise ValueError(f"at most {MAX_SAMPLES} samples (duration/sample_time)")
-        if not (isinstance(self.ode_substeps, (int, np.integer)) and self.ode_substeps >= 1):
+        if not (lti.is_integer(self.ode_substeps) and self.ode_substeps >= 1):
             raise ValueError("ode_substeps must be >= 1 and an integer")
         if not 0.0 < self.supply_voltage < math.inf:
             raise ValueError("supply_voltage must be > 0 and finite")
@@ -190,8 +190,8 @@ def simulate_closed_loop(
     else:
         ref = np.asarray(reference, dtype=float)
         n = ref.size
-        if n < 2:
-            raise ValueError("reference must have at least 2 samples")
+        if not 2 <= n <= MAX_SAMPLES:
+            raise ValueError(f"reference has {n} samples, 2 to {MAX_SAMPLES} allowed")
 
     pid = cfg.pid
     dt = cfg.sample_time

@@ -1,4 +1,8 @@
-"""Shared test utilities: random stable systems, oracles and reference fixtures."""
+"""Shared test utilities: random stable systems, oracles and reference fixtures.
+
+Run as a script, ``python tests/helpers.py OLD.json NEW.json`` prints the
+``json_delta`` of two JSON files, e.g. a report before and after a change.
+"""
 
 import json
 import math
@@ -230,29 +234,39 @@ def read_report(path) -> dict:
     return report
 
 
-def _relative_change(old: float, new: float) -> float:
-    if new == old:
-        return 0.0
-    return (new - old) / abs(old) if old else math.copysign(math.inf, new - old)
+def json_delta(old, new) -> str:
+    """How far JSON document ``new`` moved from ``old``, in one line: the floats that moved, by
+    path and relative change, largest first (the first five); then every other value and key
+    that differs."""
+    floats, others = [], []
+
+    def walk(a, b, path):
+        if type(a) is type(b) and isinstance(a, (dict, list)):
+            a, b = (dict(enumerate(v)) if isinstance(v, list) else v for v in (a, b))
+            for key in [*a, *(k for k in b if k not in a)]:
+                sub = f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+                if key in a and key in b:
+                    walk(a[key], b[key], sub)
+                else:
+                    others.append(f"{sub} {'removed' if key in a else 'added'}")
+        elif type(a) is type(b) is float and a != b:
+            rel = (b - a) / abs(a) if a else math.copysign(math.inf, b)
+            floats.append((abs(rel), f"{path} {rel:+.2g}"))
+        elif a != b:
+            others.append(f"{path} {json.dumps(a)} -> {json.dumps(b)}")
+
+    walk(old, new, "")
+    moved = [text for _, text in sorted(floats, key=lambda f: -f[0])]
+    more = f", and {len(moved) - 5} more" if len(moved) > 5 else ""
+    return (f"{len(moved)} float{'s' * (len(moved) > 1)} moved (relative, largest first): "
+            f"{', '.join(moved[:5])}{more}" if moved else "no float moved") + "; " + (
+        f"other values that differ: {', '.join(others)}" if others
+        else "no string, integer, bool or null differs and no key was added or removed")
 
 
-def match_delta(old: bytes, new: bytes) -> str:
-    """How far a ``match`` JSON moved from ``old`` to ``new``, as one line.
+if __name__ == "__main__":
+    import sys
 
-    Gives each parameter's and the SSE's relative change, ``start_index``
-    before and after, and the names of any other fields that differ.
-    """
-    a, b = json.loads(old), json.loads(new)
-    moves = [
-        f"{key} {_relative_change(a['params'][key], b['params'][key]):+.2g}"
-        for key in a["params"]
-    ]
-    moves.append(f"sse {_relative_change(a['sse'], b['sse']):+.2g}")
-    moves.append(f"start_index {a['start_index']} -> {b['start_index']}")
-    others = sorted(
-        key for key in a.keys() | b.keys()
-        if key not in ("params", "sse", "start_index") and a.get(key) != b.get(key)
-    )
-    return "match moved (relative): " + ", ".join(moves) + (
-        f"; other fields that differ: {', '.join(others)}" if others else ""
-    )
+    old_path, new_path = sys.argv[1:]
+    with open(old_path, encoding="utf-8") as old, open(new_path, encoding="utf-8") as new:
+        print(json_delta(json.load(old), json.load(new)))

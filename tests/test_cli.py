@@ -26,7 +26,7 @@ from twindisc.twin import (
     write_csv,
 )
 
-from helpers import MATCHED_SETS, match_delta, read_report, validate_report
+from helpers import MATCHED_SETS, json_delta, read_report, validate_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -1592,18 +1592,6 @@ class TestMatchCommand:
         assert preset.alpha == 0.053
 
 
-# SHA-256 of the report's JSON bytes followed by its CSV bytes on the campaign
-# of acceptance criterion c10, recorded once the report's config lost its
-# nu-gap grid and nAIC form entries (the grid is always 2048 points and nAIC
-# always log V + 2d/N); against the previous run, with ``--naic-form
-# normalized`` for the pred variant, those two entries are the only
-# difference, and every CSV byte and nu-gap value stayed.  Any change to a
-# fitted coefficient shows here.
-REPORT_SHA256 = {
-    "sim": "3a7e8454a45d5a9fdc23ebd1f5feeb495d72e2cc6c725813268d577eb76b6093",
-    "pred": "e4fa38db4a1208abc3ba322e09ff3088f016464dc3e538297a7bd4938a8333e5",
-}
-
 @pytest.fixture()
 def c10_campaign(tmp_path):
     (tmp_path / "sim.ini").write_text(
@@ -1628,6 +1616,18 @@ def c10_campaign(tmp_path):
     return data
 
 
+def assert_pinned(out, golden_name):
+    """Each ``tests/golden/<golden_name>.*`` equals its namesake in the directory ``out``;
+    to re-record, after the standing rule's comparison, run ``pytest tests/test_cli.py -k
+    bytes_are_pinned --basetemp=PINS`` and copy ``PINS/*0/<golden_name>.*`` over them."""
+    moved = [g.name for g in sorted(GOLDEN.glob(f"{golden_name}.*"))
+             if (out / g.name).read_bytes() != g.read_bytes()]
+    old, new = (json.loads((d / f"{golden_name}.json").read_bytes()) for d in (GOLDEN, out))
+    assert not moved, f"{', '.join(moved)} differ: {json_delta(old, new)}"
+
+
+# The c10 reports, recorded once the report's config lost its nu-gap grid and nAIC
+# form entries, the only bytes that moved; any change to a fitted coefficient shows here.
 def test_report_bytes_are_pinned(tmp_path, c10_campaign):
     data = c10_campaign
     variants = {
@@ -1640,23 +1640,55 @@ def test_report_bytes_are_pinned(tmp_path, c10_campaign):
                 "discriminate",
                 str(data / "dataset_35.csv"),
                 str(data / "dataset_45.csv"),
-                "--out", str(tmp_path / name),
+                "--out", str(tmp_path / f"report_c10_{name}"),
                 "--orders", "22221,33331",
                 "--seed", "11",
                 *flags,
             ]
         ) == 0
-        read_report(tmp_path / f"{name}.json")
-        blob = (tmp_path / f"{name}.json").read_bytes()
-        blob += (tmp_path / f"{name}.csv").read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == REPORT_SHA256[name], name
+        read_report(tmp_path / f"report_c10_{name}.json")
+        assert_pinned(tmp_path, f"report_c10_{name}")
 
 
-def assert_match_pinned(out, golden_name):
-    """``out`` equals the golden ``match`` JSON byte for byte; a failure says how far it moved."""
-    golden = (GOLDEN / golden_name).read_bytes()
-    written = out.read_bytes()
-    assert written == golden, match_delta(golden, written)
+def test_json_delta_names_each_change_of_the_golden_report():
+    old = json.loads((GOLDEN / "report_c10_sim.json").read_text(encoding="utf-8"))
+    assert json_delta(old, old) == (
+        "no float moved; no string, integer, bool or null differs and no key was added or removed"
+    )
+    new = json.loads((GOLDEN / "report_c10_sim.json").read_text(encoding="utf-8"))
+    new["datasets"][1]["orders"][0]["u"]["loss"] *= 1 + 1e-6
+    assert new["datasets"][1]["best"]["naic"] == "22221"
+    new["datasets"][1]["best"]["naic"] = "33331"
+    del new["nugap"]["winner_label"]
+    assert json_delta(old, new) == (
+        "1 float moved (relative, largest first): datasets[1].orders[0].u.loss +1e-06; "
+        'other values that differ: datasets[1].best.naic "22221" -> "33331", '
+        "nugap.winner_label removed"
+    )
+    many = {"x": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], "n": 3}
+    moved = {"x": [v * (1 + i / 10) for i, v in enumerate(many["x"])], "n": 4, "k": None}
+    assert json_delta(many, moved) == (
+        "6 floats moved (relative, largest first): x[6] +0.6, x[5] +0.5, x[4] +0.4, "
+        "x[3] +0.3, x[2] +0.2, and 1 more; other values that differ: n 3 -> 4, k added"
+    )
+
+
+def test_json_delta_runs_as_a_script(tmp_path):
+    old = GOLDEN / "report_c10_sim.json"
+    report = json.loads(old.read_text(encoding="utf-8"))
+    report["datasets"][0]["n_samples"] += 1
+    new = tmp_path / "new.json"
+    new.write_text(json.dumps(report), encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parent / "helpers.py"), str(old), str(new)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json_delta(json.loads(old.read_bytes()), report) + "\n"
+    assert "datasets[0].n_samples 150 -> 151" in proc.stdout
 
 
 # ``match dataset_45.csv --initial datasheet`` on the same campaign, recorded
@@ -1665,12 +1697,12 @@ def assert_match_pinned(out, golden_name):
 # parameters by at most 1.4e-5.  All five starts end within 3e-14 of one cost,
 # so the winner moved from start 1 to start 3.
 def test_match_bytes_are_pinned(tmp_path, c10_campaign):
-    out = tmp_path / "match.json"
+    golden_name = "match_c10_dataset_45_datasheet"
     assert cli.main(
         ["match", str(c10_campaign / "dataset_45.csv"), "--initial", "datasheet",
-         "--out", str(out)]
+         "--out", str(tmp_path / f"{golden_name}.json")]
     ) == 0
-    assert_match_pinned(out, "match_c10_dataset_45_datasheet.json")
+    assert_pinned(tmp_path, golden_name)
 
 
 # ``match dataset_35.csv --initial measurement --channels y --config sim.ini``
@@ -1680,12 +1712,13 @@ def test_match_bytes_are_pinned(tmp_path, c10_campaign):
 # winner from start 2 to start 4.  All five starts end within about 1e-11 of
 # one cost.
 def test_match_y_channel_with_config_bytes_are_pinned(tmp_path, c10_campaign):
-    out = tmp_path / "match.json"
+    golden_name = "match_c10_dataset_35_measurement_y_config"
     assert cli.main(
         ["match", str(c10_campaign / "dataset_35.csv"), "--initial", "measurement",
-         "--channels", "y", "--config", str(tmp_path / "sim.ini"), "--out", str(out)]
+         "--channels", "y", "--config", str(tmp_path / "sim.ini"),
+         "--out", str(tmp_path / f"{golden_name}.json")]
     ) == 0
-    assert_match_pinned(out, "match_c10_dataset_35_measurement_y_config.json")
+    assert_pinned(tmp_path, golden_name)
 
 
 @pytest.mark.skipif(

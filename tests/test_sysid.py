@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,18 @@ class TestIdentifyFamily:
         tf = family.fits[("22221", "y")].model.deterministic_tf(dataset.sample_time)
         gain = frequency_response(tf, [0.0])[0]
         assert abs(gain - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_refused_before_the_first_fit(self, seed, monkeypatch):
+        # refused before any fit: numpy's refusal inside each fit would be
+        # recorded as fit failures, leaving a family with no fit
+        fits = []
+        monkeypatch.setattr(sysid, "fit_output_error", lambda *args: fits.append(args))
+        u = step_input(100)
+        dataset = TimeSeriesDataset(np.arange(100.0), u, u, u)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be >= 0 and an integer, not {seed!r}")):
+            identify_family(dataset, seed=seed)
+        assert fits == []
 
     def test_sim_residuals_are_the_free_run_errors_bit_for_bit(self):
         # scoring prices each fit's sim_residuals in place of simulating its

@@ -137,6 +137,13 @@ class TestClosedLoop:
         assert len(ds) == ref.size
         assert np.array_equal(ds.r, ref)
 
+    @pytest.mark.parametrize("n", [0, 1, MAX_SAMPLES + 1])
+    def test_reference_length_is_checked_before_the_loop(self, n):
+        # refused before the loop: past MAX_SAMPLES the whole loop would run
+        # before the dataset refused its length
+        with pytest.raises(ValueError, match=f"reference has {n} samples, 2 to {MAX_SAMPLES} allowed"):
+            simulate_closed_loop(params_for(50.0), clean_cfg(50.0), reference=np.zeros(n))
+
     def test_sensor_quantization(self):
         p = params_for(50.0)
         cfg = SimConfig(setpoint=50.0, sensor=SensorConfig(quantization=0.5))
@@ -241,6 +248,8 @@ class TestClosedLoop:
         (SimConfig, "supply_voltage", np.inf, "supply_voltage must be > 0 and finite"),
         (SimConfig, "heatsink_conductance", np.inf, "conductances must be >= 0 and finite"),
         (SimConfig, "surface_conductance", np.inf, "conductances must be >= 0 and finite"),
+        (SensorConfig, "seed", True, "seed must be >= 0 and an integer"),
+        (SimConfig, "ode_substeps", True, "ode_substeps must be >= 1 and an integer"),
     ])
     def test_every_field_must_be_runnable_when_built(self, config, field, value, message):
         required = {
