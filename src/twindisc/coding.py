@@ -35,10 +35,6 @@ class InformationGainReport:
     l_trivial: int
     l_model: int
 
-    def __post_init__(self):
-        if self.l_trivial <= 0:
-            raise ValueError("trivial length must be > 0")
-
     @property
     def gain(self) -> int:
         return self.l_trivial - self.l_model

@@ -30,25 +30,6 @@ class NuGapMatrix:
     values: np.ndarray
     cumulative: np.ndarray
 
-    def __init__(self, labels, values):
-        values = np.asarray(values, dtype=float)
-        n = values.shape[0]
-        if values.shape != (n, n):
-            raise ValueError("gap matrix must be square")
-        if not np.allclose(values, values.T, atol=1e-12):
-            raise ValueError("gap matrix must be symmetric")
-        if np.any(np.diag(values) != 0.0):
-            raise ValueError("self-distances must be zero")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("gap entries must lie in [0, 1]")
-        values = values.copy()
-        values.setflags(write=False)
-        cumulative = values.sum(axis=1)
-        cumulative.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(str(x) for x in labels))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cumulative", cumulative)
-
 
 def _channels(model) -> tuple:
     if isinstance(model, lti.SimoModel):
@@ -179,8 +160,8 @@ def select_nominal(
 ) -> tuple[NuGapMatrix, int, bool]:
     """Pick the model family member closest to all others.
 
-    Fills the pairwise gap matrix, sums each model's row, and returns the
-    matrix plus the argmin index and a tie flag.
+    Fills the gap matrix (symmetric, zero diagonal, in [0, 1]), sums each row,
+    and returns both read-only, labelled by string, plus the argmin and a tie flag.
     """
     models = list(models)
     if len(models) < 2:
@@ -192,6 +173,8 @@ def select_nominal(
             gap = nugap(models[i], models[j], grid_size)
             values[i, j] = gap
             values[j, i] = gap
-    matrix = NuGapMatrix([_label_of(m) for m in models], values)
-    winner, tie = argmin_cumulative(matrix.cumulative)
-    return matrix, winner, tie
+    values.setflags(write=False)
+    cumulative = values.sum(axis=1)
+    cumulative.setflags(write=False)
+    winner, tie = argmin_cumulative(cumulative)
+    return NuGapMatrix(tuple(str(_label_of(m)) for m in models), values, cumulative), winner, tie

@@ -111,11 +111,6 @@ class FitResult:
     converged: bool
     iterations: int
 
-    def __post_init__(self):
-        arr = np.asarray(self.sim_residuals, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "sim_residuals", arr)
-
 
 def _project_stable(monic: np.ndarray, radius: float) -> np.ndarray:
     """Radially contract the roots of a monic polynomial into the disk of ``radius``."""
@@ -226,6 +221,7 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
     phi = _delayed(lfilter([1.0], f, u), order.nk, order.nb)
     b = np.concatenate([np.zeros(order.nk), np.linalg.lstsq(phi, y, rcond=None)[0]])
     residuals = y - lfilter(b, f, u)
+    residuals.setflags(write=False)
     c, d = (np.concatenate([[1.0], np.zeros(n)]) for n in (order.nc, order.nd))
     return FitResult(
         model=BoxJenkinsModel(b=b, c=c, d=d, f=f, delay=order.nk),

@@ -1,16 +1,24 @@
 """Shared test utilities: random stable systems, oracles and reference fixtures.
 
-Run as a script, ``python tests/helpers.py OLD.json NEW.json`` prints the
-``json_delta`` of two JSON files, e.g. a report before and after a change.
+Run as a script (with ``PYTHONPATH=src``):
+
+- ``python tests/helpers.py OLD.json NEW.json`` prints the ``json_delta`` of
+  two JSON files, e.g. a report before and after a change;
+- ``python tests/helpers.py --standing-rule DIR`` writes the shipped
+  campaign's outputs under ``DIR`` (:func:`write_standing_rule`);
+- ``python tests/helpers.py OLD_DIR NEW_DIR`` prints :func:`tree_delta` of two
+  such directories and exits 1 when any file differs.
 """
 
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 
+from twindisc import cli
 from twindisc.lti import DiscreteTransferFunction, SimoModel
 from twindisc.sysid import BoxJenkinsModel
 from twindisc.twin import KELVIN_OFFSET
@@ -264,9 +272,63 @@ def json_delta(old, new) -> str:
         else "no string, integer, bool or null differs and no key was added or removed")
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+STANDING_SEEDS = (0, 400, 800)  # the sensor seeds of ROADMAP's standing rule
+
+
+def write_standing_rule(out: Path) -> None:
+    """The shipped campaign's outputs at each of ``STANDING_SEEDS``, 13 files a seed: under
+    ``out/seed_<s>/``, ``data/`` from ``simulate``, ``report_{sim,pred}.{json,csv}`` from
+    ``discriminate``, and ``match_<record>.json`` from ``match --initial datasheet``."""
+    config = str(CONFIGS / "twin_default.ini")
+
+    def run(*args):
+        if cli.main([str(a) for a in args]) != 0:
+            raise SystemExit(f"failed: {' '.join(map(str, args))}")
+
+    for seed in STANDING_SEEDS:
+        base = out / f"seed_{seed}"
+        run("simulate", "--config", config, "--params", CONFIGS / "peltier_matched.ini",
+            "--out-dir", base / "data", "--seed", seed)
+        records = sorted((base / "data").glob("*.csv"))
+        for residuals in ("sim", "pred"):
+            run("discriminate", *records, "--out", base / f"report_{residuals}",
+                "--residuals", residuals)
+        for record in records:
+            run("match", record, "--initial", "datasheet", "--config", config,
+                "--out", base / f"match_{record.stem}.json")
+
+
+def tree_delta(old: Path, new: Path) -> list:
+    """``(path, verdict)`` for each file under either directory, by relative path: ``same``,
+    ``only in <dir>``, the ``json_delta`` of a JSON file, or ``bytes differ``."""
+    names = sorted({p.relative_to(d).as_posix() for d in (old, new)
+                    for p in d.rglob("*") if p.is_file()})
+    verdicts = []
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            verdict = f"only in {old if a.is_file() else new}"
+        elif a.read_bytes() == b.read_bytes():
+            verdict = "same"
+        elif name.endswith(".json"):
+            verdict = json_delta(json.loads(a.read_bytes()), json.loads(b.read_bytes()))
+        else:
+            verdict = "bytes differ"
+        verdicts.append((name, verdict))
+    return verdicts
+
+
 if __name__ == "__main__":
     import sys
 
-    old_path, new_path = sys.argv[1:]
-    with open(old_path, encoding="utf-8") as old, open(new_path, encoding="utf-8") as new:
-        print(json_delta(json.load(old), json.load(new)))
+    args = sys.argv[1:]
+    if args[0] == "--standing-rule":
+        write_standing_rule(Path(args[1]))
+    elif Path(args[0]).is_dir():
+        verdicts = tree_delta(Path(args[0]), Path(args[1]))
+        print("\n".join(f"{name}: {verdict}" for name, verdict in verdicts))
+        sys.exit(any(verdict != "same" for _, verdict in verdicts))
+    else:
+        with open(args[0], encoding="utf-8") as old, open(args[1], encoding="utf-8") as new:
+            print(json_delta(json.load(old), json.load(new)))

@@ -1628,26 +1628,25 @@ def assert_pinned(out, golden_name):
 
 # The c10 reports, recorded once the report's config lost its nu-gap grid and nAIC
 # form entries, the only bytes that moved; any change to a fitted coefficient shows here.
-def test_report_bytes_are_pinned(tmp_path, c10_campaign):
+@pytest.mark.parametrize("name, flags", [
+    ("sim", ["--residuals", "sim"]),
+    ("pred", ["--residuals", "pred", "--precision", "3"]),
+], ids=["sim", "pred"])
+def test_report_bytes_are_pinned(tmp_path, c10_campaign, name, flags):
     data = c10_campaign
-    variants = {
-        "sim": ["--residuals", "sim"],
-        "pred": ["--residuals", "pred", "--precision", "3"],
-    }
-    for name, flags in variants.items():
-        assert cli.main(
-            [
-                "discriminate",
-                str(data / "dataset_35.csv"),
-                str(data / "dataset_45.csv"),
-                "--out", str(tmp_path / f"report_c10_{name}"),
-                "--orders", "22221,33331",
-                "--seed", "11",
-                *flags,
-            ]
-        ) == 0
-        read_report(tmp_path / f"report_c10_{name}.json")
-        assert_pinned(tmp_path, f"report_c10_{name}")
+    assert cli.main(
+        [
+            "discriminate",
+            str(data / "dataset_35.csv"),
+            str(data / "dataset_45.csv"),
+            "--out", str(tmp_path / f"report_c10_{name}"),
+            "--orders", "22221,33331",
+            "--seed", "11",
+            *flags,
+        ]
+    ) == 0
+    read_report(tmp_path / f"report_c10_{name}.json")
+    assert_pinned(tmp_path, f"report_c10_{name}")
 
 
 def test_json_delta_names_each_change_of_the_golden_report():
@@ -1673,22 +1672,56 @@ def test_json_delta_names_each_change_of_the_golden_report():
     )
 
 
+def run_helpers_script(*args):
+    """``python tests/helpers.py ARGS`` in a new interpreter on the checkout's sources."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parent / "helpers.py"), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_json_delta_runs_as_a_script(tmp_path):
     old = GOLDEN / "report_c10_sim.json"
     report = json.loads(old.read_text(encoding="utf-8"))
     report["datasets"][0]["n_samples"] += 1
     new = tmp_path / "new.json"
     new.write_text(json.dumps(report), encoding="utf-8")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve().parent / "helpers.py"), str(old), str(new)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_helpers_script(old, new)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == json_delta(json.loads(old.read_bytes()), report) + "\n"
     assert "datasets[0].n_samples 150 -> 151" in proc.stdout
+
+
+def test_tree_delta_names_each_file_that_differs(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    report = json.loads((GOLDEN / "report_c10_sim.json").read_text(encoding="utf-8"))
+    csv = (GOLDEN / "report_c10_sim.csv").read_bytes()
+    for root in (old, new):
+        (root / "data").mkdir(parents=True)
+        (root / "data" / "same.csv").write_bytes(csv)
+    (old / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    report["datasets"][0]["orders"][0]["y"]["loss"] *= 1 + 1e-6
+    (new / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    (old / "report.csv").write_bytes(csv)
+    (new / "report.csv").write_bytes(csv.replace(b"2", b"3", 1))
+    (new / "extra.json").write_text("{}", encoding="utf-8")
+    proc = run_helpers_script(old, new)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "data/same.csv: same",
+        f"extra.json: only in {new}",
+        "report.csv: bytes differ",
+        "report.json: 1 float moved (relative, largest first): datasets[0].orders[0].y.loss "
+        "+1e-06; no string, integer, bool or null differs and no key was added or removed",
+    ]
+    (new / "extra.json").unlink()
+    (new / "report.csv").write_bytes(csv)
+    (new / "report.json").write_bytes((old / "report.json").read_bytes())
+    proc = run_helpers_script(old, new)
+    assert proc.returncode == 0, proc.stdout
 
 
 # ``match dataset_45.csv --initial datasheet`` on the same campaign, recorded

@@ -10,7 +10,6 @@ from twindisc.lti import DiscreteTransferFunction, SimoModel, is_stable
 from twindisc.nugap import (
     DEFAULT_GRID_SIZE,
     MAX_GRID_SIZE,
-    NuGapMatrix,
     argmin_cumulative,
     nugap,
     select_nominal,
@@ -349,13 +348,18 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_nominal([random_simo(rng)], grid_size=128)
 
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            NuGapMatrix(["a", "b"], [[0.0, 0.5], [0.4, 0.0]])  # asymmetric
-        with pytest.raises(ValueError):
-            NuGapMatrix(["a", "b"], [[0.1, 0.5], [0.5, 0.0]])  # nonzero diagonal
-        with pytest.raises(ValueError):
-            NuGapMatrix(["a", "b"], [[0.0, 1.5], [1.5, 0.0]])  # out of range
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_select_nominal_builds_a_valid_matrix(self, n):
+        rng = np.random.default_rng(40 + n)
+        models = [random_simo(rng, degree=1, label=i) for i in range(n)]  # 17 of 20 gaps below 1
+        matrix, _, _ = select_nominal(models, grid_size=128)
+        values = matrix.values
+        assert values.shape == (n, n)
+        assert values.tobytes() == values.T.tobytes()  # bit for bit
+        assert np.diag(values).tobytes() == np.zeros(n).tobytes()
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert matrix.cumulative.tobytes() == values.sum(axis=1).tobytes()
+        assert matrix.labels == tuple(str(i) for i in range(n))
 
 
 def test_package_attribute_is_the_nugap_module():

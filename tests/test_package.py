@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from twindisc import cli, lti, sysid
+import numpy as np
+
+from twindisc import cli, lti, nugap, sysid, twin
+
+from helpers import random_simo
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -66,3 +70,23 @@ def test_src_catches_no_bare_exception():
             if node.type is None or any(getattr(n, "id", None) == "Exception" for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_results_hold_read_only_arrays(tmp_path):
+    # the lti docstring's promise, at each producer that makes an array a result holds
+    params = twin.PeltierParams(alpha=0.05, r_ohm=3.3, k_cond=0.3, c_heat=15.0)
+    simulated = twin.simulate_closed_loop(params, twin.SimConfig(setpoint=50.0, duration=200.0))
+    twin.write_csv(simulated, tmp_path / "d.csv")
+    read = twin.read_csv(tmp_path / "d.csv")
+    fit = sysid.fit_output_error(read.r, read.y, "22221")
+    tf = fit.model.deterministic_tf(read.sample_time)
+    other = random_simo(np.random.default_rng(0), sample_time=read.sample_time)
+    matrix = nugap.select_nominal([lti.SimoModel(tf, tf), other], grid_size=128)[0]
+    arrays = {
+        **{f"simulated.{c}": getattr(simulated, c) for c in "truy"},
+        **{f"read.{c}": getattr(read, c) for c in "truy"},
+        "sim_residuals": fit.sim_residuals, "b": fit.model.b, "f": fit.model.f,
+        "numerator": tf.numerator, "denominator": tf.denominator,
+        "values": matrix.values, "cumulative": matrix.cumulative,
+    }
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
