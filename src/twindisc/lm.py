@@ -1,7 +1,7 @@
 """Levenberg-Marquardt (damped Gauss-Newton) nonlinear least squares.
 
-The one solver behind output-error fitting (:mod:`twindisc.sysid`) and
-behavioral matching (:mod:`twindisc.matching`).  Damping scales the
+The one solver behind output-error and noise-model fitting
+(:mod:`twindisc.sysid`) and behavioral matching (:mod:`twindisc.matching`).  Damping scales the
 diagonal of J^T J (Marquardt, SIAM J. Appl. Math. 11(2), 1963).  Box
 bounds are handled with an active set, as in the projected method of
 Kanzow, Yamashita & Fukushima (J. Comput. Appl. Math. 172, 2004).

@@ -8,11 +8,11 @@ Kaufman's Jacobian (variable projection: Golub & Pereyra, SIAM J. Numer.
 Anal. 10, 1973; Kaufman, BIT 15, 1975).  Steps that put a root of F within
 ``lti.STABILITY_MARGIN`` of the unit circle (Schur-Cohn: ``lti.is_stable``)
 are rejected.  Each fit starts from a matching-order ARX estimate plus seeded
-perturbations; the radii 0.99, 0.95 and the noise model's 1 - 1e-6 only place
-those estimates.  The noise part C/D is fitted only to score one-step
-prediction errors, on a fit's simulation residuals in the Hannan-Rissanen
-style (long AR for innovations, then linear least squares), so the two stages
-never need a joint search.
+perturbations; the radii 0.99 and 0.95 only place those estimates.  The noise
+part C/D is fitted only to score one-step prediction errors, by the same
+Levenberg-Marquardt kernel on a fit's simulation residuals, under the same
+stability rule (the prediction-error method: Ljung, System Identification,
+2nd ed., 1999, ch. 7), so the two stages never need a joint search.
 
 This is the one module of the package that imports scipy (its BLAS and
 LAPACK wrappers), so only model fitting pays for loading it.  The import
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
-from .lm import CONVERGED_REASONS, multistart
+from .lm import CONVERGED_REASONS, levenberg_marquardt, multistart
 from .lti import (
     DEFAULT_ORDER_LABELS,
     FIT_FAILURES,
@@ -232,38 +232,36 @@ def fit_output_error(input, output, order, seed: int = 0, warm_start=None) -> Fi
 
 
 def fit_noise_model(residuals, nc: int, nd: int):
-    """Fit monic noise polynomials (C, D) to a residual sequence.
+    """Fit monic noise polynomials (C, D) to a residual sequence v.
 
-    Hannan-Rissanen two-stage: a long AR regression reconstructs the
-    innovations, then one linear least-squares pass gives the C and D
-    coefficients.  Both polynomials are radially projected inside the unit
-    circle when needed (C as well, so the one-step predictor stays
-    invertible).  Zero-variance residuals yield the identity model, with
-    nc + 1 and nd + 1 taps so that it keeps the requested structure.
+    One Levenberg-Marquardt search over [c_1..c_nc, d_1..d_nd] minimizes the
+    one-step errors e = (D/C)v from C = D = 1, where e = v.  The kernel takes
+    only steps that lower the cost, so the fitted noise model never predicts
+    worse than none, and a candidate whose C or D fails ``lti.is_stable`` is
+    refused, as F's are.
     """
     if nc < 1 or nd < 1:
         raise ValueError("nc and nd must be >= 1")
     v = np.asarray(residuals, dtype=float).ravel()
-    if v.size == 0 or float(np.max(np.abs(v))) < 1e-300:
-        return np.concatenate([[1.0], np.zeros(nc)]), np.concatenate([[1.0], np.zeros(nd)])
     if v.size < 10 * (nc + nd):
         raise ValueError(
             f"need at least {10 * (nc + nd)} residuals for nc={nc}, nd={nd}, got {v.size}"
         )
 
-    p_ar = min(max(10, 2 * (nc + nd)), v.size // 5)
-    phi = _delayed(v, 1, p_ar)[p_ar:]
-    a, *_ = np.linalg.lstsq(phi, v[p_ar:], rcond=None)
-    e = np.zeros_like(v)
-    e[p_ar:] = v[p_ar:] - phi @ a
+    def monic(theta):
+        return np.concatenate([[1.0], theta[:nc]]), np.concatenate([[1.0], theta[nc:]])
 
-    t0 = p_ar + max(nc, nd)
-    reg = np.hstack([-_delayed(v, 1, nd), _delayed(e, 1, nc)])[t0:]
-    theta, *_ = np.linalg.lstsq(reg, v[t0:], rcond=None)
+    def residual(theta):
+        c, d = monic(theta)
+        return lfilter(d, c, v) if is_stable(c) and is_stable(d) else None
 
-    d = _project_stable(np.concatenate([[1.0], theta[:nd]]), radius=1.0 - 1e-6)
-    c = _project_stable(np.concatenate([[1.0], theta[nd:]]), radius=1.0 - 1e-6)
-    return c, d
+    def jacobian(theta, e):
+        band = denominator_band(monic(theta)[0], v.size)
+        return np.hstack(
+            [-_delayed(forward_solve(band, e), 1, nc), _delayed(forward_solve(band, v), 1, nd)]
+        )
+
+    return monic(levenberg_marquardt(residual, jacobian, np.zeros(nc + nd), MAX_ITER)[0])
 
 
 def one_step_residuals(model: BoxJenkinsModel, u, y) -> np.ndarray:

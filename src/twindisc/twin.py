@@ -138,10 +138,8 @@ class TimeSeriesDataset:
     label: str = ""
 
     def __init__(self, t, r, u, y, label: str = ""):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
+        # copies, so that freezing the columns leaves the caller's arrays writeable
+        t, r, u, y = (np.array(col, dtype=float) for col in (t, r, u, y))
         if not (t.shape == r.shape == u.shape == y.shape) or t.ndim != 1:
             raise ValueError("t, r, u, y must be equal-length 1-D columns")
         if t.size < 2:

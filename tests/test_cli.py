@@ -1390,7 +1390,7 @@ class TestMatchCommand:
 
     def test_nan_dataset_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
-        lines = open(self._dataset(tmp_path)).read().splitlines()
+        lines = Path(self._dataset(tmp_path)).read_text().splitlines()
         lines[10] = ",".join(lines[10].split(",")[:3] + ["nan"])
         path.write_text("\n".join(lines) + "\n")
         code = cli.main(["match", str(path), "--initial", "datasheet", "--out", str(tmp_path / "m.json")])
@@ -1465,7 +1465,7 @@ class TestMatchCommand:
         self, tmp_path, monkeypatch, capsys, with_config
     ):
         # one length rule, whether or not --config sets the twin's horizon
-        lines = open(self._dataset(tmp_path)).read().splitlines()
+        lines = Path(self._dataset(tmp_path)).read_text().splitlines()
         path = tmp_path / "short.csv"
         path.write_text("\n".join(lines[:31]) + "\n")  # the header and 30 samples
         cfg = tmp_path / "sim.ini"
@@ -1647,6 +1647,27 @@ def test_report_bytes_are_pinned(tmp_path, c10_campaign, name, flags):
     ) == 0
     read_report(tmp_path / f"report_c10_{name}.json")
     assert_pinned(tmp_path, f"report_c10_{name}")
+
+
+def test_noise_model_never_predicts_worse_than_none(tmp_path, c10_campaign):
+    # C = D = 1 makes the one-step errors the free-run errors, and the noise
+    # fit takes only steps that lower their loss
+    losses = {}
+    for source in ("sim", "pred"):
+        assert cli.main(
+            ["discriminate", str(c10_campaign / "dataset_35.csv"),
+             str(c10_campaign / "dataset_45.csv"), "--out", str(tmp_path / source),
+             "--orders", "22221,33331", "--seed", "11", "--residuals", source]
+        ) == 0
+        report = read_report(tmp_path / f"{source}.json")
+        losses[source] = {
+            (ds["label"], row["order"], ch): row[ch]["loss"]
+            for ds in report["datasets"] for row in ds["orders"] for ch in "yu"
+        }
+    assert len(losses["pred"]) == 8 and losses["pred"].keys() == losses["sim"].keys()
+    worse = {key: (loss, losses["sim"][key]) for key, loss in losses["pred"].items()
+             if loss > losses["sim"][key]}
+    assert worse == {}
 
 
 def test_json_delta_names_each_change_of_the_golden_report():

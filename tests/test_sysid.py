@@ -203,6 +203,8 @@ class TestFitNoiseModel:
         c, d = fit_noise_model(v, nc=2, nd=2)
         assert np.max(pole_magnitudes(d)) < 1.0 + 1e-9
         assert np.max(pole_magnitudes(c)) < 1.0 + 1e-9
+        # the boundary that C and D share with F
+        assert lti.is_stable(c) and lti.is_stable(d)
 
     def test_short_residuals_rejected(self):
         with pytest.raises(ValueError):

@@ -482,6 +482,18 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             TimeSeriesDataset(np.array([0.0, 1.0, 2.5, 3.0, 4.0]), ones, ones, ones)
 
+    def test_columns_are_read_only_copies(self):
+        cols = {"t": np.arange(60.0), "r": np.ones(60), "u": np.zeros(60), "y": np.ones(60)}
+        ds = TimeSeriesDataset(cols["t"], cols["r"], cols["u"], cols["y"])
+        cols["u"][0] = 1.0
+        for name, col in cols.items():
+            assert col.flags.writeable, name
+            assert not getattr(ds, name).flags.writeable, name
+        assert ds.u.tolist() == [0.0] * 60
+        assert [ds.t.tolist(), ds.r.tolist(), ds.y.tolist()] == [
+            cols["t"].tolist(), cols["r"].tolist(), cols["y"].tolist()
+        ]
+
     @pytest.mark.parametrize("column", ["t", "r", "u", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, column, bad):
